@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine};
+use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskId};
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
 use sympack::{SolverError, TaskKey};
@@ -89,9 +89,13 @@ struct FbEngine {
     inputs: HashMap<(usize, usize), Mat>,
     /// Aggregation buffers per target block.
     aggs: HashMap<(usize, usize), Mat>,
-    /// For each input factor block `(i,j)`, the owned tasks consuming it
-    /// (updates computing here, and — for diagonal factors — owned panels).
-    consumers: HashMap<(usize, usize), Vec<TaskKey>>,
+    /// For each input factor block `(i,j)`, the ids of the owned tasks
+    /// consuming it (updates computing here, and — for diagonal factors —
+    /// owned panels).
+    consumers: HashMap<(usize, usize), Vec<TaskId>>,
+    /// Id of the owned task factoring each target block: `D(j)` for
+    /// `(j, j)`, `F(i,j)` for `(i, j)`.
+    factor_ids: HashMap<(usize, usize), TaskId>,
     /// Outstanding local update contributions per target block.
     my_contribs: HashMap<(usize, usize), usize>,
     fetch: FetchConfig,
@@ -122,7 +126,8 @@ impl FbEngine {
         // ranks, which become the target-side dependency counts.
         let mut contrib_ranks: HashMap<(usize, usize), std::collections::HashSet<usize>> =
             HashMap::new();
-        let mut consumers: HashMap<(usize, usize), Vec<TaskKey>> = HashMap::new();
+        let mut consumers: HashMap<(usize, usize), Vec<TaskId>> = HashMap::new();
+        let mut factor_ids: HashMap<(usize, usize), TaskId> = HashMap::new();
         let mut my_contribs: HashMap<(usize, usize), usize> = HashMap::new();
         for j in 0..ns {
             let blocks = sf.layout.blocks_of(j);
@@ -132,11 +137,11 @@ impl FbEngine {
                     let cmap = grid.map(a, j);
                     contrib_ranks.entry((a, b)).or_default().insert(cmap);
                     if cmap == rank {
-                        let key = TaskKey::Update { j, a, b };
-                        rt.insert_task(key, if a == b { 1 } else { 2 });
-                        consumers.entry((a, j)).or_default().push(key);
+                        let id =
+                            rt.insert_task(TaskKey::Update { j, a, b }, if a == b { 1 } else { 2 });
+                        consumers.entry((a, j)).or_default().push(id);
                         if a != b {
-                            consumers.entry((b, j)).or_default().push(key);
+                            consumers.entry((b, j)).or_default().push(id);
                         }
                         *my_contribs.entry((a, b)).or_default() += 1;
                     }
@@ -148,22 +153,21 @@ impl FbEngine {
         // factor.
         for j in 0..ns {
             if grid.map(j, j) == rank {
-                rt.insert_task(
+                let id = rt.insert_task(
                     TaskKey::Diag { j },
                     contrib_ranks.get(&(j, j)).map_or(0, |s| s.len()),
                 );
+                factor_ids.insert((j, j), id);
             }
             for bb in sf.layout.blocks_of(j) {
                 let i = bb.target;
                 if grid.map(i, j) == rank {
-                    rt.insert_task(
+                    let id = rt.insert_task(
                         TaskKey::Panel { i, j },
                         1 + contrib_ranks.get(&(i, j)).map_or(0, |s| s.len()),
                     );
-                    consumers
-                        .entry((j, j))
-                        .or_default()
-                        .push(TaskKey::Panel { i, j });
+                    factor_ids.insert((i, j), id);
+                    consumers.entry((j, j)).or_default().push(id);
                 }
             }
         }
@@ -183,6 +187,7 @@ impl FbEngine {
             inputs: HashMap::new(),
             aggs: HashMap::new(),
             consumers,
+            factor_ids,
             my_contribs,
             fetch,
             comm: CommLayer::new(opts.coalesce),
@@ -207,10 +212,8 @@ impl FbEngine {
                 } => {
                     self.inputs
                         .insert((i, j), Mat::from_col_major(rows, cols, data));
-                    if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-                        for k in keys {
-                            self.rt.dec(k, now);
-                        }
+                    for &id in self.consumers.get(&(i, j)).into_iter().flatten() {
+                        self.rt.dec(id, now);
                     }
                 }
                 Msg::Aggregate {
@@ -230,38 +233,34 @@ impl FbEngine {
     /// Release the target-side dependency of `(a,b)` after an aggregate
     /// lands.
     fn dec_target(&mut self, a: usize, b: usize, now: f64) {
-        let key = if a == b {
-            TaskKey::Diag { j: b }
-        } else {
-            TaskKey::Panel { i: a, j: b }
-        };
-        self.rt.dec(key, now);
+        let id = self.factor_ids[&(a, b)];
+        self.rt.dec(id, now);
     }
 
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
         match key {
-            TaskKey::Diag { j } => self.exec_diag(rank, j),
-            TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
-            TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
+            TaskKey::Diag { j } => self.exec_diag(rank, id, j),
+            TaskKey::Panel { i, j } => self.exec_panel(rank, id, i, j),
+            TaskKey::Update { j, a, b } => self.exec_update(rank, id, j, a, b),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 
-    fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
+    fn exec_diag(&mut self, rank: &mut Rank, id: TaskId, j: usize) {
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
         let (_, secs) = self
             .kernels
             .potrf(&mut diag)
             .expect("fan-both requires SPD input");
-        self.rt.charge(rank, TaskKey::Diag { j }, secs);
+        self.rt.charge(rank, id, secs);
         // Fan L(j,j) to the panel owners down the grid column.
         let mut dests: Vec<usize> = self
             .sf
@@ -279,11 +278,11 @@ impl FbEngine {
         self.store.put((j, j), diag);
     }
 
-    fn exec_panel(&mut self, rank: &mut Rank, i: usize, j: usize) {
+    fn exec_panel(&mut self, rank: &mut Rank, id: TaskId, i: usize, j: usize) {
         let mut blk = self.store.take((i, j)).expect("panel owned").into_dense();
         let ldiag = self.inputs.get(&(j, j)).expect("diagonal factor present");
         let (_, secs) = self.kernels.trsm(&mut blk, ldiag);
-        self.rt.charge(rank, TaskKey::Panel { i, j }, secs);
+        self.rt.charge(rank, id, secs);
         // Fan L(i,j) to the compute ranks of updates that use it:
         // U(a,j,i) at map(a,j) for a >= i, and U(i,j,b) at map(i,j) = me.
         let mut dests: Vec<usize> = self
@@ -305,10 +304,8 @@ impl FbEngine {
     /// Release this rank's own consumers of a locally produced factor block.
     fn consume_local(&mut self, rank: &mut Rank, i: usize, j: usize) {
         let now = rank.now();
-        if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-            for k in keys {
-                self.rt.dec(k, now);
-            }
+        for &id in self.consumers.get(&(i, j)).into_iter().flatten() {
+            self.rt.dec(id, now);
         }
     }
 
@@ -346,8 +343,7 @@ impl FbEngine {
 
     /// Run one update product into the aggregation buffer for `(a, b)`; ship
     /// or absorb the buffer once this rank's last contribution lands.
-    fn exec_update(&mut self, rank: &mut Rank, j: usize, a: usize, b: usize) {
-        let key = TaskKey::Update { j, a, b };
+    fn exec_update(&mut self, rank: &mut Rank, id: TaskId, j: usize, a: usize, b: usize) {
         let binfo_j = self.sf.layout.find(b, j).expect("source block");
         let rows_b =
             self.sf.patterns[j][binfo_j.row_offset..binfo_j.row_offset + binfo_j.n_rows].to_vec();
@@ -357,7 +353,7 @@ impl FbEngine {
             let nb = lb.rows();
             let mut temp = Mat::zeros(nb, nb);
             let (_, secs) = self.kernels.syrk(&mut temp, lb);
-            self.rt.charge(rank, key, secs);
+            self.rt.charge(rank, id, secs);
             let w = self.sf.partition.width(b);
             let agg = self.aggs.entry((b, b)).or_insert_with(|| Mat::zeros(w, w));
             for (ci, &gc) in rows_b.iter().enumerate() {
@@ -382,7 +378,7 @@ impl FbEngine {
             let lb = self.inputs.get(&(b, j)).expect("L(b,j) present");
             let la = self.inputs.get(&(a, j)).expect("L(a,j) present");
             let (_, secs) = self.kernels.gemm(&mut temp, la, lb);
-            self.rt.charge(rank, key, secs);
+            self.rt.charge(rank, id, secs);
             let w = self.sf.partition.width(b);
             let agg = self
                 .aggs
@@ -581,10 +577,11 @@ fn run_rank(
         msg_overhead: 0.0,
         trace: opts.trace,
     };
+    let schedule = Arc::new(trisolve::SolveSchedule::build(sf, &grid, rank.id()));
     let mut out = trisolve::solve(
         rank,
+        &schedule,
         Arc::clone(sf),
-        grid,
         &engine.store,
         bp,
         solve_kernels,

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
 use sympack::SolverError;
@@ -41,6 +41,12 @@ const RENDEZVOUS_OVERHEAD: f64 = 5.0e-6;
 
 fn owner_of(j: usize, p: usize) -> usize {
     j % p
+}
+
+/// Task id of `FiKey { j }` on its owner: owned supernodes are the
+/// `j ≡ rank (mod p)`, registered in ascending order.
+fn task_id(j: usize, p: usize) -> TaskId {
+    (j / p) as TaskId
 }
 
 /// The single task species of the fan-in algorithm: factor owned supernode
@@ -199,11 +205,8 @@ impl FiEngine {
         //                   + #remote ranks contributing to j (one aggregate
         //                     message each).
         // my_contribs[b] (remote b) = #own supernodes contributing to b.
-        let mut remaining: HashMap<usize, usize> = HashMap::new();
+        let mut remaining = vec![0usize; (rank..ns).step_by(p).len()];
         let mut my_contribs: HashMap<usize, usize> = HashMap::new();
-        for j in (0..ns).filter(|&j| owner_of(j, p) == rank) {
-            remaining.insert(j, 0);
-        }
         let mut contributing_ranks: HashMap<usize, std::collections::HashSet<usize>> =
             HashMap::new();
         for j in 0..ns {
@@ -213,7 +216,7 @@ impl FiEngine {
                 let dst_owner = owner_of(b, p);
                 if dst_owner == rank {
                     if src_owner == rank {
-                        *remaining.get_mut(&b).expect("owned") += 1;
+                        remaining[task_id(b, p) as usize] += 1;
                     } else {
                         contributing_ranks.entry(b).or_default().insert(src_owner);
                     }
@@ -222,11 +225,12 @@ impl FiEngine {
                 }
             }
         }
-        for (b, ranks) in &contributing_ranks {
-            *remaining.get_mut(b).expect("owned") += ranks.len();
+        for (&b, ranks) in &contributing_ranks {
+            remaining[task_id(b, p) as usize] += ranks.len();
         }
-        for (&j, &deps) in &remaining {
-            rt.insert_task(FiKey { j }, deps);
+        for (j, &deps) in (rank..ns).step_by(p).zip(&remaining) {
+            let id = rt.insert_task(FiKey { j }, deps);
+            debug_assert_eq!(id, task_id(j, p));
         }
         rt.seed_ready();
         let fetch = FetchConfig {
@@ -263,7 +267,7 @@ impl FiEngine {
         let res = sched::drain_signals(rank, signals, &cfg, |_rank, s, data, ready_at| {
             let agg = AggBuffer::unpack(&self.sf, s.target, &data);
             absorb_aggregate(&self.sf, &mut self.store, s.target, &agg);
-            self.rt.dec(FiKey { j: s.target }, ready_at);
+            self.rt.dec(task_id(s.target, self.p), ready_at);
         });
         if let Err(err) = res {
             self.rt.fail(rank, err);
@@ -273,27 +277,27 @@ impl FiEngine {
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
-        self.exec_factor(rank, key);
-        self.rt.complete(key);
+        self.exec_factor(rank, id, key);
+        self.rt.complete(id);
         true
     }
 
     /// Factor supernode `j` and fan its updates in: owned targets are
     /// updated in place, remote targets accumulate into aggregation buffers
     /// shipped once the last local contribution lands.
-    fn exec_factor(&mut self, rank: &mut Rank, key: FiKey) {
+    fn exec_factor(&mut self, rank: &mut Rank, id: TaskId, key: FiKey) {
         let j = key.j;
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
         let (_, secs) = self
             .kernels
             .potrf(&mut diag)
             .expect("fan-in requires SPD input");
-        self.rt.charge(rank, key, secs);
+        self.rt.charge(rank, id, secs);
         for bb in self.sf.layout.blocks_of(j).to_vec() {
             let mut blk = self
                 .store
@@ -301,16 +305,16 @@ impl FiEngine {
                 .expect("block owned")
                 .into_dense();
             let (_, secs) = self.kernels.trsm(&mut blk, &diag);
-            self.rt.charge(rank, key, secs);
+            self.rt.charge(rank, id, secs);
             self.store.put((bb.target, j), blk);
         }
         self.store.put((j, j), diag);
         // Compute this supernode's updates at the source (fan-in).
-        let touched = self.scatter_updates(rank, key);
+        let touched = self.scatter_updates(rank, id, key);
         let now = rank.now();
         for b in touched {
             if owner_of(b, self.p) == self.me {
-                self.rt.dec(FiKey { j: b }, now);
+                self.rt.dec(task_id(b, self.p), now);
             } else {
                 let c = self.my_contribs.get_mut(&b).expect("contrib counted");
                 *c -= 1;
@@ -340,7 +344,7 @@ impl FiEngine {
     /// Apply the update pairs of factored supernode `j` into either the
     /// local store (owned targets) or the aggregation buffers (remote
     /// targets). Returns the distinct targets touched.
-    fn scatter_updates(&mut self, rank: &mut Rank, key: FiKey) -> Vec<usize> {
+    fn scatter_updates(&mut self, rank: &mut Rank, id: TaskId, key: FiKey) -> Vec<usize> {
         let j = key.j;
         let blocks_meta = self.sf.layout.blocks_of(j).to_vec();
         let mut touched = Vec::new();
@@ -366,7 +370,7 @@ impl FiEngine {
                     let nb = lb.rows();
                     let mut temp = Mat::zeros(nb, nb);
                     let (_, secs) = self.kernels.syrk(&mut temp, &lb);
-                    self.rt.charge(rank, key, secs);
+                    self.rt.charge(rank, id, secs);
                     let sf = &self.sf;
                     let target: &mut Mat = if local {
                         self.store.get_mut((b, b)).expect("diag owned").dense_mut()
@@ -395,7 +399,7 @@ impl FiEngine {
                         .collect();
                     let mut temp = Mat::zeros(la.rows(), lb.rows());
                     let (_, secs) = self.kernels.gemm(&mut temp, &la, &lb);
-                    self.rt.charge(rank, key, secs);
+                    self.rt.charge(rank, id, secs);
                     // Which block of the target supernode does (a,b) map to?
                     let bidx = self
                         .sf
@@ -566,10 +570,11 @@ fn run_rank(
         msg_overhead: RENDEZVOUS_OVERHEAD,
         trace: opts.trace,
     };
+    let schedule = Arc::new(trisolve::SolveSchedule::build(sf, &grid, rank.id()));
     let mut out = trisolve::solve(
         rank,
+        &schedule,
         Arc::clone(sf),
-        grid,
         &engine.store,
         bp,
         solve_kernels,

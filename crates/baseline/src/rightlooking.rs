@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use sympack::map2d::ProcGrid;
-use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use sympack::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind};
 use sympack::storage::BlockStore;
 use sympack::trisolve::{self, SolveParams};
 use sympack::{RtqPolicy, SolverError};
@@ -282,6 +282,12 @@ fn owner_of(j: usize, p: usize) -> usize {
     j % p
 }
 
+/// Task id of `RlKey::Factor { j }` on its owner: the owned supernodes
+/// `j ≡ rank (mod p)` are registered first, in ascending order.
+fn factor_id(j: usize, p: usize) -> TaskId {
+    (j / p) as TaskId
+}
+
 /// Pack the factored panel of supernode `j` into one buffer.
 fn pack_panel(sf: &SymbolicFactor, store: &BlockStore, j: usize) -> Vec<f64> {
     let mut out = Vec::new();
@@ -320,6 +326,9 @@ struct RlEngine {
     rt: TaskEngine<RlKey, PanelSignal>,
     /// Received (or self-broadcast) panels awaiting application.
     inputs: HashMap<usize, Panel>,
+    /// Task id of `RlKey::Apply { j }` by supernode (`TaskId::MAX` where
+    /// this rank applies nothing).
+    apply_ids: Vec<TaskId>,
     fetch: FetchConfig,
     /// Per-destination signal coalescing (pass-through when off).
     comm: CommLayer,
@@ -348,25 +357,31 @@ impl RlEngine {
         }
         // Incoming panel counts per owned supernode, and one apply task per
         // panel this rank must process.
-        let mut incoming: HashMap<usize, usize> = HashMap::new();
-        for j in (0..ns).filter(|&j| owner_of(j, p) == rank) {
-            incoming.insert(j, 0);
-        }
+        let mut incoming = vec![0usize; (rank..ns).step_by(p).len()];
+        let mut relevant = vec![false; ns];
         for j in 0..ns {
-            let mut relevant = false;
             for bb in sf.layout.blocks_of(j) {
                 if owner_of(bb.target, p) == rank {
-                    relevant = true;
-                    *incoming.get_mut(&bb.target).expect("owned") += 1;
+                    relevant[j] = true;
+                    incoming[factor_id(bb.target, p) as usize] += 1;
                 }
             }
-            if relevant {
-                rt.insert_task(RlKey::Apply { j }, 1);
-            }
         }
-        for (&j, &deps) in &incoming {
-            rt.insert_task(RlKey::Factor { j }, deps);
+        for (j, &deps) in (rank..ns).step_by(p).zip(&incoming) {
+            let id = rt.insert_task(RlKey::Factor { j }, deps);
+            debug_assert_eq!(id, factor_id(j, p));
         }
+        let apply_ids = relevant
+            .iter()
+            .enumerate()
+            .map(|(j, &r)| {
+                if r {
+                    rt.insert_task(RlKey::Apply { j }, 1)
+                } else {
+                    TaskId::MAX
+                }
+            })
+            .collect();
         rt.seed_ready();
         let fetch = FetchConfig {
             device_enabled: kernels.gpu_enabled,
@@ -382,6 +397,7 @@ impl RlEngine {
             kernels,
             rt,
             inputs: HashMap::new(),
+            apply_ids,
             fetch,
             comm: CommLayer::new(opts.coalesce),
             p,
@@ -399,7 +415,7 @@ impl RlEngine {
         let cfg = self.fetch;
         let res = sched::drain_signals(rank, signals, &cfg, |_rank, s, data, ready_at| {
             self.inputs.insert(s.j, unpack_panel(&self.sf, s.j, &data));
-            self.rt.dec(RlKey::Apply { j: s.j }, ready_at);
+            self.rt.dec(self.apply_ids[s.j], ready_at);
         });
         if let Err(err) = res {
             self.rt.fail(rank, err);
@@ -409,29 +425,28 @@ impl RlEngine {
     fn step(&mut self, rank: &mut Rank) -> bool {
         self.drain_pending(rank);
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
         match key {
-            RlKey::Factor { j } => self.exec_factor(rank, j),
-            RlKey::Apply { j } => self.exec_apply(rank, j),
+            RlKey::Factor { j } => self.exec_factor(rank, id, j),
+            RlKey::Apply { j } => self.exec_apply(rank, id, j),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 
     /// POTRF + TRSMs of supernode `j`, then broadcast the whole panel to
     /// every rank owning a target (self included, without communication).
-    fn exec_factor(&mut self, rank: &mut Rank, j: usize) {
-        let key = RlKey::Factor { j };
+    fn exec_factor(&mut self, rank: &mut Rank, id: TaskId, j: usize) {
         let mut diag = self.store.take((j, j)).expect("diag owned").into_dense();
         let (_, secs) = self
             .kernels
             .potrf(&mut diag)
             .expect("baseline requires SPD input");
-        self.rt.charge(rank, key, secs);
+        self.rt.charge(rank, id, secs);
         for bb in self.sf.layout.blocks_of(j).to_vec() {
             let mut blk = self
                 .store
@@ -439,7 +454,7 @@ impl RlEngine {
                 .expect("block owned")
                 .into_dense();
             let (_, secs) = self.kernels.trsm(&mut blk, &diag);
-            self.rt.charge(rank, key, secs);
+            self.rt.charge(rank, id, secs);
             self.store.put((bb.target, j), blk);
         }
         self.store.put((j, j), diag);
@@ -477,14 +492,13 @@ impl RlEngine {
             // Self-application without communication.
             self.inputs.insert(j, unpack_panel(&self.sf, j, &packed));
             let now = rank.now();
-            self.rt.dec(RlKey::Apply { j }, now);
+            self.rt.dec(self.apply_ids[j], now);
         }
     }
 
     /// Apply every update from panel `j` into this rank's supernodes and
     /// release the owned factor tasks whose last input this was.
-    fn exec_apply(&mut self, rank: &mut Rank, j: usize) {
-        let key = RlKey::Apply { j };
+    fn exec_apply(&mut self, rank: &mut Rank, id: TaskId, j: usize) {
         let panel = self.inputs.remove(&j).expect("panel present");
         let blocks_meta = self.sf.layout.blocks_of(j).to_vec();
         let mut completed_targets = Vec::new();
@@ -505,7 +519,7 @@ impl RlEngine {
                     let nb = lb.rows();
                     let mut temp = Mat::zeros(nb, nb);
                     let (_, secs) = self.kernels.syrk(&mut temp, lb);
-                    self.rt.charge(rank, key, secs);
+                    self.rt.charge(rank, id, secs);
                     let target = self.store.get_mut((b, b)).expect("diag owned").dense_mut();
                     for (ci, &gc) in rows_b.iter().enumerate() {
                         let tc = gc - first_b;
@@ -524,7 +538,7 @@ impl RlEngine {
                         .collect();
                     let mut temp = Mat::zeros(la.rows(), lb.rows());
                     let (_, secs) = self.kernels.gemm(&mut temp, la, lb);
-                    self.rt.charge(rank, key, secs);
+                    self.rt.charge(rank, id, secs);
                     let target = self
                         .store
                         .get_mut((a, b))
@@ -543,7 +557,7 @@ impl RlEngine {
         completed_targets.dedup();
         let now = rank.now();
         for t in completed_targets {
-            self.rt.dec(RlKey::Factor { j: t }, now);
+            self.rt.dec(factor_id(t, self.p), now);
         }
     }
 }
@@ -701,10 +715,11 @@ fn run_rank(
         msg_overhead: RENDEZVOUS_OVERHEAD,
         trace: opts.trace,
     };
+    let schedule = Arc::new(trisolve::SolveSchedule::build(sf, &grid, rank.id()));
     let mut out = trisolve::solve(
         rank,
+        &schedule,
         Arc::clone(sf),
-        grid,
         &engine.store,
         bp,
         solve_kernels,

@@ -271,7 +271,8 @@ impl SymPack {
     /// Analyze, factor and solve `A·x = b`.
     ///
     /// # Errors
-    /// [`SolverError::NotPositiveDefinite`] when a pivot fails;
+    /// [`SolverError::RhsShape`] when `b.len()` differs from the matrix
+    /// order; [`SolverError::NotPositiveDefinite`] when a pivot fails;
     /// [`SolverError::DeviceOom`] under the Abort OOM policy.
     pub fn try_factor_and_solve(
         a: &SparseSym,
@@ -320,7 +321,8 @@ impl SymPack {
     /// factorization this way.
     ///
     /// # Errors
-    /// Same failure modes as [`SymPack::try_factor_and_solve`].
+    /// Same failure modes as [`SymPack::try_factor_and_solve`];
+    /// [`SolverError::RhsShape`] also for an empty `bs`.
     pub fn try_factor_and_solve_multi(
         a: &SparseSym,
         bs: &[Vec<f64>],
@@ -344,9 +346,8 @@ impl SymPack {
         Result<MultiSolveReport, SolverError>,
         Option<sympack_trace::telemetry::TelemetryReport>,
     ) {
-        assert!(!bs.is_empty(), "need at least one right-hand side");
-        for b in bs {
-            assert_eq!(b.len(), a.n(), "rhs length must match the matrix order");
+        if let Err(e) = SolverError::check_rhs(a.n(), bs) {
+            return (Err(e), None);
         }
         let plan = SolvePlan::new(a, opts);
         let sf = Arc::clone(plan.sf());
@@ -355,10 +356,12 @@ impl SymPack {
         let grid = plan.grid();
         let config = plan.pgas_config();
         let abort = Arc::new(AtomicBool::new(false));
+        let slices = &plan.symbolic.tasks;
+        let schedules = plan.symbolic.solve_schedules();
         let opts2 = opts.clone();
         let report = Runtime::run(config, |rank| {
             let kernels = make_kernels(&opts2);
-            let mut engine = FactoEngine::new(
+            let mut engine = FactoEngine::with_tasks(
                 Arc::clone(&sf),
                 &ap,
                 grid,
@@ -369,6 +372,7 @@ impl SymPack {
                 Arc::clone(&abort),
                 opts2.bcast,
                 opts2.coalesce,
+                Arc::clone(&slices[rank.id()]),
             );
             if opts2.trace {
                 engine.rt.tracer = Some(sympack_trace::Tracer::new());
@@ -388,102 +392,51 @@ impl SymPack {
             }
             let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
             let tel_snapshot = engine.rt.telemetry.take().map(|t| t.snapshot());
-            let trace_events = engine
+            let mut trace = engine
                 .rt
                 .tracer
                 .take()
                 .map(sympack_trace::Tracer::into_events)
                 .unwrap_or_default();
-            let facto_tasks: Vec<(String, u64)> = engine
+            let mut tasks: Vec<(String, u64)> = engine
                 .rt
                 .task_counts()
                 .iter()
                 .map(|&(k, v)| (k.to_string(), v))
                 .collect();
-            if let Some(err) = engine.rt.error.take() {
-                let mut trace = trace_events;
-                trace.extend(comm_events(rank));
-                let health = rank
-                    .take_watchdog()
-                    .map(sympack_trace::health::Watchdog::into_events)
-                    .unwrap_or_default();
-                if opts2.trace {
-                    trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
-                }
-                return RankOut {
-                    error: Some(err),
-                    factor_time,
-                    solves: Vec::new(),
-                    counts: engine.kernels.counts,
-                    publish: engine.publish,
-                    blr: engine.kernels.blr_counts,
-                    factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
-                    trace,
-                    tasks: facto_tasks,
-                    telemetry: tel_snapshot,
-                    health,
-                };
-            }
-            if abort.load(std::sync::atomic::Ordering::SeqCst) {
-                // Another rank failed; it carries the error.
-                let mut trace = trace_events;
-                trace.extend(comm_events(rank));
-                let health = rank
-                    .take_watchdog()
-                    .map(sympack_trace::health::Watchdog::into_events)
-                    .unwrap_or_default();
-                if opts2.trace {
-                    trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
-                }
-                return RankOut {
-                    error: None,
-                    factor_time,
-                    solves: Vec::new(),
-                    counts: engine.kernels.counts,
-                    publish: engine.publish,
-                    blr: engine.kernels.blr_counts,
-                    factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
-                    trace,
-                    tasks: facto_tasks,
-                    telemetry: tel_snapshot,
-                    health,
-                };
-            }
+            let mut error = engine.rt.error.take();
+            // A failed factorization skips the solves on every rank: the
+            // failing rank carries the error, the others see the abort.
+            let factored = error.is_none() && !abort.load(std::sync::atomic::Ordering::SeqCst);
             let mut solves = Vec::with_capacity(bps.len());
-            let mut solve_trace: Vec<sympack_trace::TraceEvent> = Vec::new();
-            let mut solve_tasks: Vec<(String, u64)> = Vec::new();
-            let mut solve_error: Option<SolverError> = None;
-            for bp in bps.iter() {
-                let solve_kernels = make_kernels(&opts2);
+            let schedule = &schedules[rank.id()];
+            for bp in bps.iter().filter(|_| factored) {
                 let params = trisolve::SolveParams {
                     policy: opts2.rtq_policy,
                     msg_overhead: 0.0,
-                    trace: opts2.trace && solve_trace.is_empty(),
+                    // Trace the first solve only.
+                    trace: opts2.trace && solves.is_empty(),
                 };
                 let mut out = trisolve::solve(
                     rank,
+                    schedule,
                     Arc::clone(&sf),
-                    grid,
                     &engine.store,
                     bp,
-                    solve_kernels,
+                    make_kernels(&opts2),
                     &params,
                 );
-                solve_trace.extend(std::mem::take(&mut out.trace));
-                if solve_tasks.is_empty() {
-                    solve_tasks = out
-                        .task_counts
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), v))
-                        .collect();
+                trace.append(&mut out.trace);
+                if solves.is_empty() {
+                    tasks.extend(out.task_counts.iter().map(|&(k, v)| (k.to_string(), v)));
                 }
-                solve_error = out.error.take();
-                let (mut x_map, mut solve_time) = (out.x, out.elapsed);
+                error = out.error.take();
+                let (mut x, mut solve_time) = (out.x, out.elapsed);
                 // A diagnosed solve stall aborts the job; every rank breaks
                 // out of the per-rhs loop together (the solve itself is
                 // collective, so the break points stay aligned).
-                if solve_error.is_some() || rank.job_aborted() {
-                    solves.push((solve_time, x_map.into_iter().collect()));
+                if error.is_some() || rank.job_aborted() {
+                    solves.push((solve_time, x));
                     break;
                 }
                 for _ in 0..opts2.refine_steps {
@@ -491,39 +444,37 @@ impl SymPack {
                     // the correction and add it in — classical iterative
                     // refinement using the same distributed solve.
                     let t0 = rank.now();
-                    let xp = trisolve::allgather_solution(rank, &sf, &x_map);
+                    let xp = trisolve::allgather_solution(rank, &sf, &x);
                     let ax = ap.spmv(&xp);
                     let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
                     // Charge the residual SpMV (2 flops per stored entry,
                     // both triangles) to the local clock.
                     rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
-                    let refine_kernels = make_kernels(&opts2);
                     let refine_params = trisolve::SolveParams {
                         policy: opts2.rtq_policy,
                         ..Default::default()
                     };
                     let dout = trisolve::solve(
                         rank,
+                        schedule,
                         Arc::clone(&sf),
-                        grid,
                         &engine.store,
                         &rp,
-                        refine_kernels,
+                        make_kernels(&opts2),
                         &refine_params,
                     );
-                    let (d_map, dt) = (dout.x, dout.elapsed);
-                    for (sn, dx) in d_map {
-                        let x = x_map.get_mut(&sn).expect("same ownership");
-                        for (xi, di) in x.iter_mut().zip(dx) {
+                    // Both piece lists follow the schedule's diagonal order.
+                    for ((sn, xs), (dsn, dx)) in x.iter_mut().zip(dout.x) {
+                        debug_assert_eq!(*sn, dsn, "same ownership");
+                        for (xi, di) in xs.iter_mut().zip(dx) {
                             *xi += di;
                         }
                     }
+                    let dt = dout.elapsed;
                     solve_time += dt + (rank.now() - t0 - dt).max(0.0);
                 }
-                solves.push((solve_time, x_map.into_iter().collect()));
+                solves.push((solve_time, x));
             }
-            let mut trace = trace_events;
-            trace.extend(solve_trace);
             trace.extend(comm_events(rank));
             let health = rank
                 .take_watchdog()
@@ -532,10 +483,8 @@ impl SymPack {
             if opts2.trace {
                 trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
             }
-            let mut tasks = facto_tasks;
-            tasks.extend(solve_tasks);
             RankOut {
-                error: solve_error,
+                error,
                 factor_time,
                 solves,
                 counts: engine.kernels.counts,
@@ -662,9 +611,10 @@ impl SymPack {
         let abort = Arc::new(AtomicBool::new(false));
         let opts2 = opts.clone();
         type BlockDump = Vec<((usize, usize), usize, usize, Vec<f64>)>;
+        let slices = &plan.symbolic.tasks;
         let report = Runtime::run(config, |rank| -> (Option<SolverError>, f64, BlockDump) {
             let kernels = make_kernels(&opts2);
-            let engine = FactoEngine::new(
+            let engine = FactoEngine::with_tasks(
                 Arc::clone(&sf),
                 &ap,
                 grid,
@@ -675,6 +625,7 @@ impl SymPack {
                 Arc::clone(&abort),
                 opts2.bcast,
                 opts2.coalesce,
+                Arc::clone(&slices[rank.id()]),
             );
             let (engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
             if let Some(err) = engine.rt.error {
@@ -763,6 +714,31 @@ mod tests {
         assert!(r.factor_time > 0.0);
         assert!(r.solve_time > 0.0);
         assert!(r.l_nnz >= a.nnz());
+    }
+
+    #[test]
+    fn bad_right_hand_sides_are_typed_errors() {
+        let a = laplacian_2d(4, 4);
+        let opts = SolverOptions::default();
+        match SymPack::try_factor_and_solve_multi(&a, &[], &opts) {
+            Err(SolverError::RhsShape { expected, actual }) => {
+                assert_eq!((expected, actual), ((16, 1), (16, 0)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        match SymPack::try_factor_and_solve(&a, &[1.0; 15], &opts) {
+            Err(SolverError::RhsShape { expected, actual }) => {
+                assert_eq!((expected, actual), ((16, 1), (15, 1)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        let bs = vec![vec![1.0; 16], vec![1.0; 17]];
+        match SymPack::try_factor_and_solve_multi(&a, &bs, &opts) {
+            Err(SolverError::RhsShape { expected, actual }) => {
+                assert_eq!((expected, actual), ((16, 2), (17, 2)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
     }
 
     #[test]

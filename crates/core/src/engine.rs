@@ -4,7 +4,7 @@
 //! [`crate::sched::TaskEngine`].
 
 use crate::map2d::ProcGrid;
-use crate::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskKind};
+use crate::sched::{self, CommLayer, FetchConfig, FetchMode, TaskEngine, TaskId, TaskKind};
 use crate::storage::{Block, BlockStore};
 use crate::taskgraph::{fanout_dests, LocalTasks, RtqPolicy, TaskKey};
 use crate::SolverError;
@@ -114,11 +114,10 @@ pub struct FactoEngine {
     grid: ProcGrid,
     /// This rank's blocks of `A` (progressively overwritten with `L`).
     pub store: BlockStore,
-    /// For each factored input block `(i,j)`, the owned update tasks
-    /// consuming it.
-    consumers: HashMap<(usize, usize), Vec<TaskKey>>,
-    /// Owned panel tasks consuming each diagonal factor `(j,j)`.
-    diag_consumers: HashMap<usize, Vec<TaskKey>>,
+    /// This rank's slice of the task graph: the task table the scheduler
+    /// runs on, the consumer lists of every factored block and the id of
+    /// each owned block's factor task. Shared with the plan.
+    local: Arc<LocalTasks>,
     /// The shared scheduling core: LTQ, RTQ, inbox, abort, tracer.
     pub rt: TaskEngine<TaskKey, Signal>,
     inputs: HashMap<(usize, usize), InputBlock>,
@@ -141,31 +140,11 @@ pub struct FactoEngine {
 }
 
 impl FactoEngine {
-    /// Build the engine for `rank`: enumerate owned tasks, allocate owned
-    /// blocks and scatter the permuted matrix into them.
-    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the driver only
-    pub fn new(
-        sf: Arc<SymbolicFactor>,
-        ap: &sympack_sparse::SparseSym,
-        grid: ProcGrid,
-        rank: usize,
-        kernels: KernelEngine,
-        policy: RtqPolicy,
-        oom_policy: OomPolicy,
-        abort: Arc<AtomicBool>,
-        topology: BcastTopology,
-        coalesce: Option<CoalesceConfig>,
-    ) -> Self {
-        let local = LocalTasks::build(&sf, &grid, rank);
-        Self::with_tasks(
-            sf, ap, grid, rank, kernels, policy, oom_policy, abort, topology, coalesce, local,
-        )
-    }
-
-    /// Like [`FactoEngine::new`], but reuses a prebuilt task graph slice —
-    /// the re-factorization path of a solver session, which keeps the
-    /// symbolic factor, 2D mapping and per-rank [`LocalTasks`] across
-    /// numeric factorizations and only re-scatters block storage.
+    /// Build the engine for `rank` over its slice of the task graph (the
+    /// plan's [`LocalTasks`]): allocate owned blocks and scatter the
+    /// permuted matrix into them. Every factorization — the driver's, a
+    /// session's re-factorizations, a fleet's re-materializations — runs on
+    /// the slices its [`crate::SymbolicPlan`] built once.
     #[allow(clippy::too_many_arguments)] // one-shot constructor called by the driver only
     pub fn with_tasks(
         sf: Arc<SymbolicFactor>,
@@ -178,7 +157,7 @@ impl FactoEngine {
         abort: Arc<AtomicBool>,
         topology: BcastTopology,
         coalesce: Option<CoalesceConfig>,
-        local: LocalTasks,
+        local: Arc<LocalTasks>,
     ) -> Self {
         let mut kernels = kernels;
         if kernels.blr.enabled() {
@@ -188,33 +167,27 @@ impl FactoEngine {
             kernels.blr_scale = ap.frobenius_norm();
         }
         let store = BlockStore::init(&sf, ap, &grid, rank);
-        let LocalTasks {
-            tasks,
-            consumers,
-            diag_consumers,
-            total: _,
-        } = local;
-        let mut rt = TaskEngine::with_tasks(tasks, policy, abort);
-        rt.seed_ready();
-        // Advisory roofline estimates for progress/makespan prediction —
-        // installed on every rank, never consulted by the RTQ policy.
-        rt.set_estimates(|k| k.estimate_secs(&sf, &kernels.cost, &kernels.config));
+        let mut rt = TaskEngine::with_tasks(Arc::clone(&local.keys), &local.deps, policy, abort);
         if policy == RtqPolicy::CommAware {
             // Overlap-driven urgency: a factor task's output unblocks this
             // many *remote* ranks, so producing it early feeds the network
-            // while local update work hides behind the transfers.
-            let keys: Vec<TaskKey> = rt.task_keys();
-            for k in keys {
-                let urg = match k {
+            // while local update work hides behind the transfers. Installed
+            // before seeding: the urgency travels with a task into the RTQ.
+            for (id, k) in local.keys.iter().enumerate() {
+                let urg = match *k {
                     TaskKey::Diag { j } => fanout_dests(&sf, &grid, rank, j, j).len(),
                     TaskKey::Panel { i, j } => fanout_dests(&sf, &grid, rank, i, j).len(),
                     TaskKey::Update { .. } => 0,
                 };
                 if urg > 0 {
-                    rt.set_urgency(k, urg as u64);
+                    rt.set_urgency(id as TaskId, urg as u64);
                 }
             }
         }
+        rt.seed_ready();
+        // Advisory roofline estimates for progress/makespan prediction —
+        // installed on every rank, never consulted by the RTQ policy.
+        rt.set_estimates(|k| k.estimate_secs(&sf, &kernels.cost, &kernels.config));
         let fetch = FetchConfig {
             device_enabled: kernels.gpu_enabled,
             device_threshold: 64 * 64,
@@ -225,8 +198,7 @@ impl FactoEngine {
             sf,
             grid,
             store,
-            consumers,
-            diag_consumers,
+            local,
             rt,
             inputs: HashMap::new(),
             kernels,
@@ -260,16 +232,9 @@ impl FactoEngine {
         } else {
             TaskKey::Panel { i, j }
         };
-        if i == j {
-            if let Some(keys) = self.diag_consumers.get(&j).cloned() {
-                for k in keys {
-                    self.rt.dec_from(k, ready_at, || producer.trace_label());
-                }
-            }
-        } else if let Some(keys) = self.consumers.get(&(i, j)).cloned() {
-            for k in keys {
-                self.rt.dec_from(k, ready_at, || producer.trace_label());
-            }
+        let local = Arc::clone(&self.local);
+        for &id in local.consumers_of(&self.sf, i, j) {
+            self.rt.dec_from(id, ready_at, || producer.trace_label());
         }
         self.rt.add_mem(data.bytes());
         let compressed = data.is_lowrank();
@@ -285,10 +250,9 @@ impl FactoEngine {
     /// only sharpens progress/makespan prediction — it cannot perturb the
     /// schedule.
     fn reestimate_consumers(&mut self, i: usize, j: usize) {
-        let Some(keys) = self.consumers.get(&(i, j)).cloned() else {
-            return;
-        };
-        for k in keys {
+        let local = Arc::clone(&self.local);
+        for &id in local.consumers_of(&self.sf, i, j) {
+            let k = self.rt.key(id);
             let TaskKey::Update { j: uj, a, b } = k else {
                 continue;
             };
@@ -296,7 +260,7 @@ impl FactoEngine {
             let rb = self.inputs.get(&(b, uj)).and_then(|ib| ib.data.lr_rank());
             let secs =
                 k.estimate_secs_stored(&self.sf, &self.kernels.cost, &self.kernels.config, ra, rb);
-            self.rt.update_estimate(k, secs);
+            self.rt.update_estimate(id, secs);
         }
     }
 
@@ -456,28 +420,28 @@ impl FactoEngine {
         // rank has no ready work at all, everything buffered must go out so
         // a held-back signal can never starve the job into a false stall.
         self.comm.tick(rank);
-        let Some((key, ready_at)) = self.rt.pick() else {
+        let Some((id, key, ready_at)) = self.rt.pick() else {
             self.comm.flush_all(rank);
             return false;
         };
         self.rt.begin(rank, ready_at);
         match key {
-            TaskKey::Diag { j } => self.exec_diag(rank, j),
-            TaskKey::Panel { i, j } => self.exec_panel(rank, i, j),
-            TaskKey::Update { j, a, b } => self.exec_update(rank, j, a, b),
+            TaskKey::Diag { j } => self.exec_diag(rank, id, j),
+            TaskKey::Panel { i, j } => self.exec_panel(rank, id, i, j),
+            TaskKey::Update { j, a, b } => self.exec_update(rank, id, j, a, b),
         }
-        self.rt.complete(key);
+        self.rt.complete(id);
         true
     }
 
-    fn exec_diag(&mut self, rank: &mut Rank, j: usize) {
+    fn exec_diag(&mut self, rank: &mut Rank, id: TaskId, j: usize) {
         let mut m = self
             .store
             .take((j, j))
             .expect("diag block owned")
             .into_dense();
         match self.kernels.potrf(&mut m) {
-            Ok((_loc, secs)) => self.rt.charge(rank, TaskKey::Diag { j }, secs),
+            Ok((_loc, secs)) => self.rt.charge(rank, id, secs),
             Err(sympack_dense::DenseError::NotPositiveDefinite { column }) => {
                 let col = self.sf.partition.first_col(j) + column;
                 self.rt
@@ -494,7 +458,7 @@ impl FactoEngine {
         self.add_input(j, j, blk, now);
     }
 
-    fn exec_panel(&mut self, rank: &mut Rank, i: usize, j: usize) {
+    fn exec_panel(&mut self, rank: &mut Rank, id: TaskId, i: usize, j: usize) {
         let mut b = self
             .store
             .take((i, j))
@@ -521,21 +485,21 @@ impl FactoEngine {
         } else {
             Block::Dense(b)
         };
-        self.rt.charge(rank, TaskKey::Panel { i, j }, secs);
+        self.rt.charge(rank, id, secs);
         self.fanout(rank, i, j, &stored);
         let now = rank.now();
         self.store.put((i, j), stored.clone());
         self.add_input(i, j, stored, now);
     }
 
-    fn exec_update(&mut self, rank: &mut Rank, j: usize, a: usize, b: usize) {
+    fn exec_update(&mut self, rank: &mut Rank, id: TaskId, j: usize, a: usize, b: usize) {
         if a == b {
             // SYRK into the diagonal block of b.
             let lb = &self.inputs.get(&(b, j)).expect("input L(b,j) present").data;
             let nb = lb.rows();
             let mut temp = Mat::zeros(nb, nb);
             let (_loc, secs) = self.kernels.syrk_any(&mut temp, lb.as_ref());
-            self.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
+            self.rt.charge(rank, id, secs);
             let rows_b: Vec<usize> = self.block_rows(b, j).to_vec();
             let first = self.sf.partition.first_col(b);
             let target = self
@@ -559,7 +523,7 @@ impl FactoEngine {
             let (ma, nb) = (la.rows(), lb.rows());
             let mut temp = Mat::zeros(ma, nb);
             let (_loc, secs) = self.kernels.gemm_any(&mut temp, la.as_ref(), lb.as_ref());
-            self.rt.charge(rank, TaskKey::Update { j, a, b }, secs);
+            self.rt.charge(rank, id, secs);
             let rows_a: Vec<usize> = self.block_rows(a, j).to_vec();
             let rows_b: Vec<usize> = self.block_rows(b, j).to_vec();
             let target_rows: Vec<usize> = self.block_rows(a, b).to_vec();
@@ -584,11 +548,7 @@ impl FactoEngine {
         }
         let now_ready = rank.now();
         // Local successor: the panel (or diagonal) task of the target block.
-        let succ = if a == b {
-            TaskKey::Diag { j: b }
-        } else {
-            TaskKey::Panel { i: a, j: b }
-        };
+        let succ = self.local.factor_task(&self.sf, a, b);
         self.rt.dec_from(succ, now_ready, || {
             TaskKey::Update { j, a, b }.trace_label()
         });

@@ -122,6 +122,40 @@ pub enum SolverError {
         /// Engine-specific diagnosis.
         detail: String,
     },
+    /// A right-hand side does not fit the matrix: a column of the wrong
+    /// length, or a request with no columns at all. Shapes are
+    /// `(rows, columns)`.
+    RhsShape {
+        /// The shape the solve needs: the matrix order, and the supplied
+        /// column count (at least one).
+        expected: (usize, usize),
+        /// The shape supplied (the first offending column's length).
+        actual: (usize, usize),
+    },
+}
+
+impl SolverError {
+    /// Check a batch of right-hand-side columns against a matrix of order
+    /// `n`: at least one column, each of length `n`.
+    ///
+    /// # Errors
+    /// [`SolverError::RhsShape`] naming the expected and supplied shape.
+    pub fn check_rhs<B: AsRef<[f64]>>(n: usize, columns: &[B]) -> Result<(), SolverError> {
+        let cols = columns.len();
+        if cols == 0 {
+            return Err(SolverError::RhsShape {
+                expected: (n, 1),
+                actual: (n, 0),
+            });
+        }
+        match columns.iter().find(|b| b.as_ref().len() != n) {
+            Some(b) => Err(SolverError::RhsShape {
+                expected: (n, cols),
+                actual: (b.as_ref().len(), cols),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl std::fmt::Display for SolverError {
@@ -149,6 +183,11 @@ impl std::fmt::Display for SolverError {
             SolverError::Stalled { rank, done, total, detail } => write!(
                 f,
                 "stall diagnosed on rank {rank} after {done}/{total} tasks: {detail}"
+            ),
+            SolverError::RhsShape { expected, actual } => write!(
+                f,
+                "right-hand side rejected: got {}×{}, expected {}×{}",
+                actual.0, actual.1, expected.0, expected.1
             ),
         }
     }

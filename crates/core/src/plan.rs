@@ -13,7 +13,8 @@
 //!
 //! * [`SymbolicPlan`] — everything derived from the sparsity *pattern*
 //!   alone: composite ordering, symbolic factor, 2D process grid, per-rank
-//!   task-graph slices, and the retained pattern arrays. It carries no
+//!   task-graph slices, per-rank triangular-solve schedules (built on the
+//!   first solve), and the retained pattern arrays. It carries no
 //!   numeric state, so one `Arc<SymbolicPlan>` can back any number of
 //!   concurrent tenants whose matrices share a [`pattern_hash`] — the
 //!   analyze-once/solve-many design a fleet-wide plan cache keys on.
@@ -25,10 +26,10 @@ use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
-use crate::trisolve;
+use crate::trisolve::{self, SolveSchedule};
 use crate::{SolverError, SolverOptions};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use sympack_gpu::{KernelEngine, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::{PgasConfig, Runtime, StatsSnapshot};
@@ -146,9 +147,12 @@ pub struct SymbolicPlan {
     /// Plan-cache key: `pattern` folded with the analysis/layout options
     /// (see [`plan_cache_key`]).
     pub key: u64,
-    /// Every rank's slice of the factorization task graph; cloned per
-    /// numeric factorization.
-    pub tasks: Vec<LocalTasks>,
+    /// Every rank's slice of the factorization task graph, shared by
+    /// every numeric factorization.
+    pub tasks: Vec<Arc<LocalTasks>>,
+    /// Every rank's triangular-solve schedule, built by the first solve
+    /// (see [`SymbolicPlan::solve_schedules`]).
+    solve: OnceLock<Vec<Arc<SolveSchedule>>>,
     /// Matrix order of the analyzed pattern.
     pub n: usize,
     /// Column pointers of the analyzed (unpermuted) pattern.
@@ -176,8 +180,8 @@ impl SymbolicPlan {
         let sf = Arc::new(analyze(a, &ordering, &opts.analyze));
         let grid = effective_grid(opts);
         let n_ranks = grid.n_procs();
-        let tasks: Vec<LocalTasks> = (0..n_ranks)
-            .map(|r| LocalTasks::build(&sf, &grid, r))
+        let tasks: Vec<Arc<LocalTasks>> = (0..n_ranks)
+            .map(|r| Arc::new(LocalTasks::build(&sf, &grid, r)))
             .collect();
         let mut row_idx = Vec::with_capacity(a.nnz());
         for c in 0..a.n() {
@@ -189,6 +193,7 @@ impl SymbolicPlan {
             pattern,
             key: plan_cache_key(pattern, opts),
             tasks,
+            solve: OnceLock::new(),
             n: a.n(),
             col_ptr: a.col_ptr().to_vec(),
             row_idx,
@@ -199,6 +204,18 @@ impl SymbolicPlan {
     /// Total ranks the task graphs were sliced for.
     pub fn n_ranks(&self) -> usize {
         self.grid.n_procs()
+    }
+
+    /// Every rank's triangular-solve schedule, indexed by rank. Built on
+    /// the first call and cached: every later solve against any factor of
+    /// this plan — from the driver, a session, or any fleet tenant sharing
+    /// the plan — reuses the same schedules.
+    pub fn solve_schedules(&self) -> &[Arc<SolveSchedule>] {
+        self.solve.get_or_init(|| {
+            (0..self.n_ranks())
+                .map(|r| Arc::new(SolveSchedule::build(&self.sf, &self.grid, r)))
+                .collect()
+        })
     }
 
     /// Whether `a` has exactly the sparsity pattern this plan was built for.
@@ -383,7 +400,7 @@ pub fn factor_numeric(plan: &SolvePlan, ap: &Arc<SparseSym>) -> Result<NumericFa
             Arc::clone(&abort),
             opts.bcast,
             opts.coalesce,
-            symbolic.tasks[rank.id()].clone(),
+            Arc::clone(&symbolic.tasks[rank.id()]),
         );
         let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
         let error = engine.rt.error.take();
@@ -452,27 +469,26 @@ pub fn solve_panel_distributed(
     assert_eq!(stores.len(), plan.n_ranks(), "one block store per rank");
     let sf = Arc::clone(&plan.symbolic.sf);
     assert_eq!(bp.len(), sf.n() * nrhs, "rhs panel must be n × nrhs");
-    let grid = plan.symbolic.grid;
-    let opts = plan.opts.clone();
+    let schedules = plan.symbolic.solve_schedules();
+    let opts = &plan.opts;
     let report = Runtime::run(plan.pgas_config(), |rank| {
-        let kernels = make_kernels(&opts);
+        let kernels = make_kernels(opts);
         let params = trisolve::SolveParams {
             policy: opts.rtq_policy,
             msg_overhead: 0.0,
             trace: false,
         };
-        let mut out = trisolve::solve_panel(
+        let out = trisolve::solve_panel(
             rank,
+            &schedules[rank.id()],
             Arc::clone(&sf),
-            grid,
             &stores[rank.id()],
             bp,
             nrhs,
             kernels,
             &params,
         );
-        let pieces: Vec<(usize, Vec<f64>)> = out.x.drain().collect();
-        (out.error, out.elapsed, pieces)
+        (out.error, out.elapsed, out.x)
     });
     let n = plan.symbolic.sf.n();
     let mut xp = vec![0.0; n * nrhs];

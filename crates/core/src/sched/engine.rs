@@ -4,11 +4,16 @@
 use super::queue::{ReadyQueue, RtqPolicy};
 use super::{Signal, TaskKind};
 use crate::SolverError;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use sympack_pgas::{GlobalPtr, Rank};
-use sympack_trace::{SpanKind, TraceEvent, Tracer};
+use sympack_trace::{SpanKind, TraceCat, TraceEvent, Tracer};
+
+/// Dense per-rank task id: the index of a task in its engine's task table.
+/// Engines derive ids from their precomputed slice of the task graph, so
+/// no task is ever looked up by hashing its key.
+pub type TaskId = u32;
 
 /// Mutable scheduling state of one task.
 #[derive(Debug, Clone, Copy)]
@@ -19,22 +24,54 @@ pub struct TaskState {
     pub ready_at: f64,
 }
 
+/// An RTQ entry: the dense id plus the key the pop policies order by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Queued<K> {
+    id: TaskId,
+    key: K,
+}
+
+impl<K: TaskKind> TaskKind for Queued<K> {
+    fn priority_key(&self) -> (usize, usize) {
+        self.key.priority_key()
+    }
+    fn seed_key(&self) -> (usize, usize, usize, usize) {
+        self.key.seed_key()
+    }
+    fn kind_name(&self) -> &'static str {
+        self.key.kind_name()
+    }
+    fn trace_label(&self) -> String {
+        self.key.trace_label()
+    }
+    fn trace_cat(&self) -> TraceCat {
+        self.key.trace_cat()
+    }
+}
+
 /// The scheduling core shared by every engine: the LTQ (per-task dependency
 /// counters), the RTQ, the signal inbox and the bookkeeping around them.
 ///
 /// `K` is the engine's task species, `S` its signal (notification) type.
 /// Engines embed one `TaskEngine` and route *all* scheduling through it;
 /// this is the only definition of `dec`/`pick`/inbox draining in the tree.
+///
+/// Tasks live in one dense table indexed by [`TaskId`]; every per-task
+/// record (counters, execution flags, estimates, urgencies, producer
+/// labels) is a `Vec` over the same ids.
 pub struct TaskEngine<K: TaskKind, S = ()> {
-    /// Scheduling state per owned task (the LTQ of §3.4).
-    tasks: HashMap<K, TaskState>,
-    rtq: ReadyQueue<K>,
+    /// Key of each task, by id. Shared with the precomputed slice the
+    /// table came from (a plan's task graph or solve schedule), so building
+    /// an engine never copies it.
+    keys: Arc<Vec<K>>,
+    /// Scheduling state per task (the LTQ of §3.4), by id.
+    tasks: Vec<TaskState>,
+    rtq: ReadyQueue<Queued<K>>,
     /// Notifications delivered by RPC but not yet turned into gets.
     inbox: Vec<S>,
-    total: usize,
     done: usize,
     /// Executed tasks per kind (schedule-invariant; checked by tests).
-    counts: BTreeMap<&'static str, u64>,
+    counts: Vec<(&'static str, u64)>,
     /// Fixed overhead charged to the virtual clock per executed task — the
     /// classical-runtime tax the right-looking baseline models (zero for
     /// the fan-out engine).
@@ -54,59 +91,73 @@ pub struct TaskEngine<K: TaskKind, S = ()> {
     /// duplicated `signal(ptr, meta)` delivery (network retry, fault
     /// injection) is absorbed instead of double-decrementing dependants.
     seen_signals: HashSet<GlobalPtr>,
-    /// Tasks that have executed — the exactly-once invariant checker.
-    executed: HashSet<K>,
+    /// Which tasks have executed — the exactly-once invariant checker.
+    executed: Vec<bool>,
     /// Ready time of the task most recently returned by `pick`, stamped
     /// onto the span `charge` records (profiler dep-wait attribution).
     picked_ready: f64,
     /// Producer label of each task's latest-arriving dependency, recorded
     /// by [`dec_from`](Self::dec_from) only while tracing (the profiler's
     /// dependency edges; empty and untouched otherwise).
-    pred: HashMap<K, String>,
+    pred: Vec<Option<String>>,
     /// Resident input-buffer gauge (bytes), sampled onto exec spans.
     mem_bytes: u64,
     /// Per-task cost estimates installed by [`set_estimates`]
-    /// (Self::set_estimates); purely advisory — progress prediction only,
-    /// never consulted by `pick`, so the schedule is estimate-independent.
-    estimates: HashMap<K, f64>,
+    /// (Self::set_estimates), by id (empty when none are installed);
+    /// purely advisory — progress prediction only, never consulted by
+    /// `pick`, so the schedule is estimate-independent.
+    estimates: Vec<f64>,
     /// Sum of estimates of not-yet-completed tasks.
     est_remaining: f64,
+    /// Per-task urgency for [`RtqPolicy::CommAware`], by id (empty when
+    /// none is installed; absent ⇒ 0).
+    urgency: Vec<u64>,
 }
 
 impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// An empty engine; add tasks with [`insert_task`](Self::insert_task)
     /// and seed the RTQ with [`seed_ready`](Self::seed_ready).
     pub fn new(policy: RtqPolicy, abort: Arc<AtomicBool>) -> Self {
-        Self::with_tasks(HashMap::new(), policy, abort)
+        Self::with_tasks(Arc::new(Vec::new()), &[], policy, abort)
     }
 
-    /// An engine over a pre-built task table (the fan-out path, where
-    /// `LocalTasks::build` computes the counters).
+    /// An engine over a precomputed task table: task `id` has key
+    /// `keys[id]` and `deps[id]` outstanding dependencies (the fan-out
+    /// path, where `LocalTasks::build` computes the counters, and the
+    /// solve, where the `SolveSchedule` does). O(tasks), no hashing.
     pub fn with_tasks(
-        tasks: HashMap<K, TaskState>,
+        keys: Arc<Vec<K>>,
+        deps: &[u32],
         policy: RtqPolicy,
         abort: Arc<AtomicBool>,
     ) -> Self {
-        let total = tasks.len();
+        assert_eq!(keys.len(), deps.len(), "one dependency count per task");
         TaskEngine {
-            tasks,
+            tasks: deps
+                .iter()
+                .map(|&d| TaskState {
+                    deps: d as usize,
+                    ready_at: 0.0,
+                })
+                .collect(),
+            executed: vec![false; keys.len()],
+            keys,
             rtq: ReadyQueue::new(policy),
             inbox: Vec::new(),
-            total,
             done: 0,
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             task_overhead: 0.0,
             error: None,
             abort,
             tracer: None,
             telemetry: None,
             seen_signals: HashSet::new(),
-            executed: HashSet::new(),
             picked_ready: 0.0,
-            pred: HashMap::new(),
+            pred: Vec::new(),
             mem_bytes: 0,
-            estimates: HashMap::new(),
+            estimates: Vec::new(),
             est_remaining: 0.0,
+            urgency: Vec::new(),
         }
     }
 
@@ -117,23 +168,28 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// are never consulted when picking from the RTQ, so installing (or
     /// skipping) them cannot change the schedule.
     pub fn set_estimates(&mut self, mut est: impl FnMut(&K) -> f64) {
-        self.estimates.clear();
-        self.est_remaining = 0.0;
-        for k in self.tasks.keys() {
-            let s = est(k).max(0.0);
-            self.estimates.insert(*k, s);
-            self.est_remaining += s;
-        }
+        self.estimates = self.keys.iter().map(|k| est(k).max(0.0)).collect();
+        self.est_remaining = self
+            .estimates
+            .iter()
+            .zip(&self.executed)
+            .filter(|(_, &done)| !done)
+            .map(|(s, _)| s)
+            .sum();
     }
 
     /// Replace the advisory estimate of one not-yet-completed task,
     /// adjusting the remaining-work sum by the delta. A no-op when no
-    /// estimate was installed for `key` (e.g. [`set_estimates`]
-    /// (Self::set_estimates) was never called, or the task already
-    /// completed) — like installation, correction can never change the
-    /// schedule, only sharpen progress prediction.
-    pub fn update_estimate(&mut self, key: K, secs: f64) {
-        let Some(slot) = self.estimates.get_mut(&key) else {
+    /// estimate was installed (e.g. [`set_estimates`](Self::set_estimates)
+    /// was never called) or the task already completed — like installation,
+    /// correction can never change the schedule, only sharpen progress
+    /// prediction.
+    pub fn update_estimate(&mut self, id: TaskId, secs: f64) {
+        let i = id as usize;
+        if self.executed[i] {
+            return;
+        }
+        let Some(slot) = self.estimates.get_mut(i) else {
             return;
         };
         let s = secs.max(0.0);
@@ -159,67 +215,83 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         self.task_overhead = secs;
     }
 
-    /// Keys of every registered task, in hash-map order. Callers that feed
-    /// the result back into deterministic state (e.g. urgency maps) are
-    /// safe: the urgency map is keyed, not ordered.
-    pub fn task_keys(&self) -> Vec<K> {
-        self.tasks.keys().copied().collect()
+    /// Key of task `id`.
+    pub fn key(&self, id: TaskId) -> K {
+        self.keys[id as usize]
     }
 
     /// Record a task's urgency for [`RtqPolicy::CommAware`] scheduling
     /// (how many remote ranks its output unblocks). Advisory under every
-    /// other policy; may be installed before or after the task is ready.
-    pub fn set_urgency(&mut self, key: K, urgency: u64) {
-        self.rtq.set_urgency(key, urgency);
+    /// other policy. The urgency travels with the task into the RTQ, so
+    /// install it before the task becomes ready (before
+    /// [`seed_ready`](Self::seed_ready) for seeded tasks).
+    pub fn set_urgency(&mut self, id: TaskId, urgency: u64) {
+        if self.urgency.is_empty() {
+            self.urgency = vec![0; self.tasks.len()];
+        }
+        self.urgency[id as usize] = urgency;
     }
 
-    /// Register an owned task with `deps` outstanding dependencies.
-    pub fn insert_task(&mut self, key: K, deps: usize) {
-        if self
-            .tasks
-            .insert(
-                key,
-                TaskState {
-                    deps,
-                    ready_at: 0.0,
-                },
-            )
-            .is_none()
-        {
-            self.total += 1;
+    /// Register an owned task with `deps` outstanding dependencies and
+    /// return its id (ids are handed out densely in insertion order).
+    pub fn insert_task(&mut self, key: K, deps: usize) -> TaskId {
+        let id = TaskId::try_from(self.tasks.len()).expect("task ids fit in u32");
+        Arc::make_mut(&mut self.keys).push(key);
+        self.tasks.push(TaskState {
+            deps,
+            ready_at: 0.0,
+        });
+        self.executed.push(false);
+        if !self.estimates.is_empty() {
+            self.estimates.push(0.0);
         }
+        if !self.urgency.is_empty() {
+            self.urgency.push(0);
+        }
+        id
+    }
+
+    fn push_ready(&mut self, id: TaskId) {
+        let i = id as usize;
+        let urgency = self.urgency.get(i).copied().unwrap_or(0);
+        self.rtq.push_urgent(
+            Queued {
+                id,
+                key: self.keys[i],
+            },
+            urgency,
+        );
     }
 
     /// Move every zero-dependency task onto the RTQ, in the deterministic
-    /// [`TaskKind::seed_key`] order (hash iteration must not leak into the
+    /// [`TaskKind::seed_key`] order (table order must not leak into the
     /// schedule).
     pub fn seed_ready(&mut self) {
-        let mut v: Vec<K> = self
-            .tasks
-            .iter()
-            .filter(|(_, s)| s.deps == 0)
-            .map(|(k, _)| *k)
+        let mut v: Vec<TaskId> = (0..self.tasks.len() as TaskId)
+            .filter(|&id| self.tasks[id as usize].deps == 0)
             .collect();
-        v.sort_by_key(|k| k.seed_key());
-        for k in v {
-            self.rtq.push(k);
+        v.sort_by_key(|&id| self.keys[id as usize].seed_key());
+        for id in v {
+            self.push_ready(id);
         }
     }
 
-    /// Decrement one dependency of `key`; move it to the RTQ at zero.
-    pub fn dec(&mut self, key: K, ready_at: f64) {
+    /// Decrement one dependency of task `id`; move it to the RTQ at zero.
+    pub fn dec(&mut self, id: TaskId, ready_at: f64) {
+        let i = id as usize;
         debug_assert!(
-            !self.executed.contains(&key),
-            "dependency decrement of already-executed task {key:?}"
+            !self.executed[i],
+            "dependency decrement of already-executed task {:?}",
+            self.keys[i]
         );
-        let st = self.tasks.get_mut(&key).expect("task exists");
-        debug_assert!(st.deps > 0, "over-decrement of {key:?}");
+        let st = &mut self.tasks[i];
+        debug_assert!(st.deps > 0, "over-decrement of {:?}", self.keys[i]);
         st.deps -= 1;
         if ready_at > st.ready_at {
             st.ready_at = ready_at;
         }
         if st.deps == 0 {
-            self.rtq.push(key);
+            self.push_ready(id);
         }
     }
 
@@ -229,17 +301,17 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// dependency edge for the critical-path walk. The label closure is
     /// only invoked when a tracer is installed, so the disabled path costs
     /// nothing beyond the plain `dec`.
-    pub fn dec_from(&mut self, key: K, ready_at: f64, producer: impl FnOnce() -> String) {
+    pub fn dec_from(&mut self, id: TaskId, ready_at: f64, producer: impl FnOnce() -> String) {
         if self.tracer.is_some() {
-            let latest = self
-                .tasks
-                .get(&key)
-                .is_some_and(|st| ready_at >= st.ready_at);
-            if latest {
-                self.pred.insert(key, producer());
+            let i = id as usize;
+            if ready_at >= self.tasks[i].ready_at {
+                if self.pred.is_empty() {
+                    self.pred = vec![None; self.tasks.len()];
+                }
+                self.pred[i] = Some(producer());
             }
         }
-        self.dec(key, ready_at);
+        self.dec(id, ready_at);
     }
 
     /// Adjust the resident input-buffer gauge (bytes of fetched panels
@@ -249,17 +321,17 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     }
 
     /// Scheduling state of a task (tests and engine assertions).
-    pub fn state(&self, key: &K) -> Option<TaskState> {
-        self.tasks.get(key).copied()
+    pub fn state(&self, id: TaskId) -> Option<TaskState> {
+        self.tasks.get(id as usize).copied()
     }
 
-    /// Pick the next ready task under the RTQ policy, with the virtual time
-    /// its last input became available.
-    pub fn pick(&mut self) -> Option<(K, f64)> {
-        let key = self.rtq.pop()?;
-        let ready_at = self.tasks[&key].ready_at;
+    /// Pick the next ready task under the RTQ policy: its id, key, and the
+    /// virtual time its last input became available.
+    pub fn pick(&mut self) -> Option<(TaskId, K, f64)> {
+        let Queued { id, key } = self.rtq.pop()?;
+        let ready_at = self.tasks[id as usize].ready_at;
         self.picked_ready = ready_at;
-        Some((key, ready_at))
+        Some((id, key, ready_at))
     }
 
     /// Advance the rank's clock to a picked task's ready time (dependencies
@@ -273,7 +345,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     /// typed exec span: kernel/overhead sub-spans, the ready time from the
     /// enclosing `pick`, the producer edge, and the queue-depth / resident-
     /// bytes gauges sampled at this task boundary.
-    pub fn charge(&mut self, rank: &mut Rank, key: K, secs: f64) {
+    pub fn charge(&mut self, rank: &mut Rank, id: TaskId, secs: f64) {
         let total = secs + self.task_overhead;
         rank.advance(total);
         if let Some(tel) = &mut self.telemetry {
@@ -291,6 +363,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
         }
         if let Some(tr) = &mut self.tracer {
             let end = rank.now();
+            let key = self.keys[id as usize];
             tr.push(TraceEvent {
                 rank: rank.id(),
                 name: key.trace_label(),
@@ -301,7 +374,7 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
                 kernel: secs,
                 overhead: self.task_overhead,
                 ready_at: self.picked_ready,
-                pred: self.pred.get(&key).cloned(),
+                pred: self.pred.get(id as usize).cloned().flatten(),
                 peer: None,
                 bytes: self.mem_bytes,
                 rtq_depth: self.rtq.len() as u32,
@@ -310,23 +383,26 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
     }
 
     /// Mark a task executed (progress + per-kind accounting).
-    pub fn complete(&mut self, key: K) {
-        if cfg!(debug_assertions) {
-            debug_assert!(
-                self.executed.insert(key),
-                "task {key:?} executed more than once"
-            );
-            debug_assert!(
-                self.tasks.contains_key(&key),
-                "completed task {key:?} was never inserted"
-            );
-        }
+    pub fn complete(&mut self, id: TaskId) {
+        let i = id as usize;
+        debug_assert!(
+            i < self.tasks.len(),
+            "completed task {id} was never inserted"
+        );
+        let key = self.keys[i];
+        debug_assert!(!self.executed[i], "task {key:?} executed more than once");
+        self.executed[i] = true;
         self.done += 1;
-        *self.counts.entry(key.kind_name()).or_insert(0) += 1;
-        if let Some(s) = self.estimates.remove(&key) {
+        let kind = key.kind_name();
+        match self.counts.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, c)) => *c += 1,
+            None => self.counts.push((kind, 1)),
+        }
+        if let Some(s) = self.estimates.get_mut(i) {
             // Clamp at zero: float subtraction drift must never leave a
             // finished engine reporting negative remaining work.
-            self.est_remaining = (self.est_remaining - s).max(0.0);
+            self.est_remaining = (self.est_remaining - *s).max(0.0);
+            *s = 0.0;
         }
     }
 
@@ -338,38 +414,41 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
             return;
         }
         debug_assert_eq!(
-            self.done, self.total,
+            self.done,
+            self.tasks.len(),
             "engine finished with {}/{} tasks executed",
-            self.done, self.total
+            self.done,
+            self.tasks.len()
         );
-        debug_assert_eq!(
-            self.executed.len(),
-            self.total,
-            "execution multiset does not match the task table"
-        );
-        for (k, st) in &self.tasks {
+        for (i, st) in self.tasks.iter().enumerate() {
+            let k = self.keys[i];
             debug_assert!(
                 st.deps == 0,
                 "task {k:?} still has {} outstanding dependencies",
                 st.deps
             );
-            debug_assert!(self.executed.contains(k), "task {k:?} never executed");
+            debug_assert!(self.executed[i], "task {k:?} never executed");
         }
     }
 
     /// Executed-task totals per kind, in stable (sorted) order.
     pub fn task_counts(&self) -> Vec<(&'static str, u64)> {
-        self.counts.iter().map(|(&k, &v)| (k, v)).collect()
+        let mut v = self.counts.clone();
+        v.sort_unstable();
+        v
     }
 
     /// Executed tasks of one kind (phase-completion checks).
     pub fn count_of(&self, kind: &str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
+        self.counts
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |&(_, c)| c)
     }
 
     /// Total owned tasks.
     pub fn total(&self) -> usize {
-        self.total
+        self.tasks.len()
     }
 
     /// Executed owned tasks.
@@ -379,9 +458,8 @@ impl<K: TaskKind, S: Send + 'static> TaskEngine<K, S> {
 
     /// True when every owned task has executed (or the job aborted).
     pub fn finished(&self) -> bool {
-        self.done == self.total || self.abort.load(Ordering::Relaxed)
+        self.done == self.tasks.len() || self.abort.load(Ordering::Relaxed)
     }
-
     /// True once any rank failed.
     pub fn aborted(&self) -> bool {
         self.abort.load(Ordering::Relaxed)
@@ -469,18 +547,19 @@ mod tests {
     #[test]
     fn dec_releases_at_zero_with_max_ready_time() {
         let mut e = engine();
-        e.insert_task(T(0), 2);
+        let t0 = e.insert_task(T(0), 2);
         assert!(e.pick().is_none());
-        e.dec(T(0), 3.0);
+        e.dec(t0, 3.0);
         assert!(e.pick().is_none(), "one dependency still outstanding");
-        e.dec(T(0), 1.5);
-        let (k, ready_at) = e.pick().expect("released");
-        assert_eq!(k, T(0));
+        e.dec(t0, 1.5);
+        let (id, k, ready_at) = e.pick().expect("released");
+        assert_eq!((id, k), (t0, T(0)));
         assert_eq!(ready_at, 3.0, "ready time is the max over inputs");
     }
 
     #[test]
     fn seed_ready_orders_deterministically() {
+        // Seed order follows seed keys, not ids: insert out of order.
         let mut e = engine();
         for v in [5, 1, 3] {
             e.insert_task(T(v), 0);
@@ -488,9 +567,9 @@ mod tests {
         e.insert_task(T(2), 1);
         e.seed_ready();
         // LIFO pops the highest seed key first.
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(5)));
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(3)));
-        assert_eq!(e.pick().map(|(k, _)| k), Some(T(1)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(5)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(3)));
+        assert_eq!(e.pick().map(|(_, k, _)| k), Some(T(1)));
         assert!(e.pick().is_none());
     }
 
@@ -498,9 +577,9 @@ mod tests {
     fn finished_tracks_done_and_abort() {
         let abort = Arc::new(AtomicBool::new(false));
         let mut e: TaskEngine<T> = TaskEngine::new(RtqPolicy::Lifo, Arc::clone(&abort));
-        e.insert_task(T(0), 0);
+        let t0 = e.insert_task(T(0), 0);
         assert!(!e.finished());
-        e.complete(T(0));
+        e.complete(t0);
         assert!(e.finished());
         assert_eq!(e.task_counts(), vec![("t", 1)]);
 
@@ -558,9 +637,9 @@ mod tests {
     #[should_panic(expected = "executed more than once")]
     fn invariant_checker_catches_double_execution() {
         let mut e = engine();
-        e.insert_task(T(0), 0);
-        e.complete(T(0));
-        e.complete(T(0));
+        let t0 = e.insert_task(T(0), 0);
+        e.complete(t0);
+        e.complete(t0);
     }
 
     #[test]
@@ -568,21 +647,107 @@ mod tests {
     #[should_panic(expected = "decrement of already-executed")]
     fn invariant_checker_catches_dec_after_execute() {
         let mut e = engine();
-        e.insert_task(T(0), 1);
-        e.dec(T(0), 0.0);
-        e.complete(T(0));
-        e.dec(T(0), 0.0);
+        let t0 = e.insert_task(T(0), 1);
+        e.dec(t0, 0.0);
+        e.complete(t0);
+        e.dec(t0, 0.0);
     }
 
     #[test]
     fn debug_assert_completed_passes_on_clean_finish() {
         let mut e = engine();
-        e.insert_task(T(0), 0);
-        e.insert_task(T(1), 1);
+        let t0 = e.insert_task(T(0), 0);
+        let t1 = e.insert_task(T(1), 1);
         e.seed_ready();
-        e.complete(T(0));
-        e.dec(T(1), 1.0);
-        e.complete(T(1));
+        e.complete(t0);
+        e.dec(t1, 1.0);
+        e.complete(t1);
         e.debug_assert_completed();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never executed")]
+    fn debug_assert_completed_catches_a_skipped_task() {
+        let mut e = engine();
+        let t0 = e.insert_task(T(0), 0);
+        e.insert_task(T(1), 0);
+        e.complete(t0);
+        // Force the done count to match so only the per-task check fires.
+        e.done = e.total();
+        e.debug_assert_completed();
+    }
+
+    #[test]
+    fn ids_are_dense_in_insertion_order() {
+        let mut e = engine();
+        let ids: Vec<TaskId> = [7, 3, 9].iter().map(|&v| e.insert_task(T(v), 1)).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert_eq!([e.key(0), e.key(1), e.key(2)], [T(7), T(3), T(9)]);
+        assert_eq!(e.state(2).map(|s| s.deps), Some(1));
+        assert!(e.state(3).is_none());
+    }
+
+    #[test]
+    fn precomputed_table_matches_inserted_tasks() {
+        // The same tasks through `with_tasks` and through `insert_task`
+        // schedule identically.
+        let keys = vec![T(4), T(1), T(6), T(2)];
+        let deps = [0u32, 1, 0, 0];
+        let mut table: TaskEngine<T> = TaskEngine::with_tasks(
+            Arc::new(keys.clone()),
+            &deps,
+            RtqPolicy::Fifo,
+            Arc::new(AtomicBool::new(false)),
+        );
+        let mut inserted: TaskEngine<T> =
+            TaskEngine::new(RtqPolicy::Fifo, Arc::new(AtomicBool::new(false)));
+        for (k, d) in keys.iter().zip(deps) {
+            inserted.insert_task(*k, d as usize);
+        }
+        for e in [&mut table, &mut inserted] {
+            e.seed_ready();
+            let mut order = Vec::new();
+            while let Some((id, k, _)) = e.pick() {
+                order.push(k);
+                e.complete(id);
+                if k == T(2) {
+                    e.dec(1, 0.5);
+                }
+            }
+            assert_eq!(order, vec![T(2), T(4), T(6), T(1)]);
+            e.debug_assert_completed();
+        }
+    }
+
+    #[test]
+    fn urgency_installed_before_seeding_orders_comm_aware_pops() {
+        let mut e: TaskEngine<T> =
+            TaskEngine::new(RtqPolicy::CommAware, Arc::new(AtomicBool::new(false)));
+        let ids: Vec<TaskId> = [3, 1, 4, 2]
+            .iter()
+            .map(|&v| e.insert_task(T(v), 0))
+            .collect();
+        e.set_urgency(ids[2], 5);
+        e.seed_ready();
+        let order: Vec<T> = std::iter::from_fn(|| e.pick().map(|(_, k, _)| k)).collect();
+        assert_eq!(order, vec![T(4), T(1), T(2), T(3)]);
+    }
+
+    #[test]
+    fn estimates_retire_on_completion_and_ignore_completed_updates() {
+        let mut e = engine();
+        let t0 = e.insert_task(T(0), 0);
+        let t1 = e.insert_task(T(1), 0);
+        e.set_estimates(|k| (k.0 + 1) as f64);
+        assert_eq!(e.estimated_remaining(), 3.0);
+        e.complete(t0);
+        assert_eq!(e.estimated_remaining(), 2.0);
+        e.update_estimate(t0, 10.0);
+        assert_eq!(e.estimated_remaining(), 2.0, "completed task ignored");
+        e.update_estimate(t1, 0.5);
+        assert_eq!(e.estimated_remaining(), 0.5);
+        e.complete(t1);
+        assert_eq!(e.estimated_remaining(), 0.0);
     }
 }

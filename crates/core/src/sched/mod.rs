@@ -25,14 +25,33 @@
 //! rendezvous charge of two-sided receives) are runtime *parameters*
 //! ([`TaskEngine::set_task_overhead`], [`FetchMode::Blocking`]), not
 //! per-engine code.
+//!
+//! Tasks are addressed by dense per-rank ids ([`TaskId`]): the engine's
+//! task table, execution flags, estimates and urgencies are `Vec`s over
+//! them, and no structure here is keyed by a hashed task. Each engine
+//! derives its ids from a slice it computed once:
+//!
+//! * the solve, from the plan's cached `SolveSchedule` (diagonal solves,
+//!   then block GEMVs, per sweep);
+//! * the fan-out factorization, from [`crate::taskgraph::LocalTasks`],
+//!   whose consumer lists ([`Csr`]) already hold ids;
+//! * the fan-in and right-looking baselines, by arithmetic on the
+//!   supernode index; fan-both records the ids `insert_task` returns.
+//!
+//! Ids only address the table. The RTQ pops by the same keys as before
+//! ([`TaskKind::seed_key`] for seeding, [`TaskKind::priority_key`] and
+//! urgency under the ordered policies), so the modeled schedule does not
+//! depend on how ids are assigned.
 
 mod comm;
+mod csr;
 mod engine;
 mod fetch;
 mod queue;
 
 pub use comm::CommLayer;
-pub use engine::{TaskEngine, TaskState};
+pub use csr::Csr;
+pub use engine::{TaskEngine, TaskId, TaskState};
 pub use fetch::{drain_signals, fetch, FetchConfig, FetchMode};
 pub use queue::{ReadyQueue, RtqPolicy};
 

@@ -2,7 +2,7 @@
 
 use super::TaskKind;
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Order in which ready tasks are picked from the RTQ.
 ///
@@ -21,7 +21,7 @@ pub enum RtqPolicy {
     CriticalPath,
     /// Overlap-driven: prefer tasks whose outputs unblock the most remote
     /// ranks (the per-task *urgency* installed via
-    /// [`ReadyQueue::set_urgency`] — the fan-out engine uses the remote
+    /// [`ReadyQueue::push_urgent`] — the fan-out engine uses the remote
     /// consumer count of each factor task), breaking ties by
     /// [`TaskKind::priority_key`]. Tasks with no urgency recorded rank
     /// lowest, so pure-local work yields to communication-critical work.
@@ -37,14 +37,13 @@ pub enum RtqPolicy {
 /// `Vec` implementation (`push` ≡ `push_back`, LIFO `pop` ≡ `pop_back`,
 /// FIFO `remove(0)` ≡ `pop_front`, `swap_remove` ≡ `swap_remove_back`), so
 /// schedules — and therefore modeled makespans — are unchanged.
+///
+/// Each entry carries its [`RtqPolicy::CommAware`] urgency, fixed at push
+/// time, so the queue holds no per-task side table.
 #[derive(Debug)]
 pub struct ReadyQueue<K> {
-    q: VecDeque<K>,
+    q: VecDeque<(K, u64)>,
     policy: RtqPolicy,
-    /// Per-task urgency consulted by [`RtqPolicy::CommAware`] (absent ⇒ 0).
-    /// Kept outside the deque so it can be installed before tasks become
-    /// ready and survives their residence in the queue.
-    urgency: HashMap<K, u64>,
 }
 
 impl<K: TaskKind> ReadyQueue<K> {
@@ -53,14 +52,7 @@ impl<K: TaskKind> ReadyQueue<K> {
         ReadyQueue {
             q: VecDeque::new(),
             policy,
-            urgency: HashMap::new(),
         }
-    }
-
-    /// Record `key`'s urgency for [`RtqPolicy::CommAware`] pops. May be
-    /// called before the task is pushed; ignored by the other policies.
-    pub fn set_urgency(&mut self, key: K, urgency: u64) {
-        self.urgency.insert(key, urgency);
     }
 
     /// The queue's pop policy.
@@ -78,14 +70,21 @@ impl<K: TaskKind> ReadyQueue<K> {
         self.q.is_empty()
     }
 
-    /// Enqueue a task that became ready.
+    /// Enqueue a task that became ready (urgency 0).
     pub fn push(&mut self, key: K) {
-        self.q.push_back(key);
+        self.push_urgent(key, 0);
+    }
+
+    /// Enqueue a task that became ready with its urgency: how many remote
+    /// ranks its output unblocks. Consulted only by
+    /// [`RtqPolicy::CommAware`] pops.
+    pub fn push_urgent(&mut self, key: K, urgency: u64) {
+        self.q.push_back((key, urgency));
     }
 
     /// Pop the next task according to the policy.
     pub fn pop(&mut self) -> Option<K> {
-        match self.policy {
+        let entry = match self.policy {
             RtqPolicy::Lifo => self.q.pop_back(),
             RtqPolicy::Fifo => self.q.pop_front(),
             RtqPolicy::CriticalPath => {
@@ -93,19 +92,21 @@ impl<K: TaskKind> ReadyQueue<K> {
                     .q
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, k)| k.priority_key())?;
+                    .min_by_key(|(_, (k, _))| k.priority_key())?;
                 self.q.swap_remove_back(idx)
             }
             RtqPolicy::CommAware => {
                 // min_by_key returns the *first* minimal element, so ties
                 // resolve deterministically toward the oldest entry.
-                let (idx, _) = self.q.iter().enumerate().min_by_key(|(_, k)| {
-                    let u = self.urgency.get(k).copied().unwrap_or(0);
-                    (Reverse(u), k.priority_key())
-                })?;
+                let (idx, _) = self
+                    .q
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (k, u))| (Reverse(*u), k.priority_key()))?;
                 self.q.swap_remove_back(idx)
             }
-        }
+        };
+        entry.map(|(k, _)| k)
     }
 }
 
@@ -173,12 +174,10 @@ mod tests {
     #[test]
     fn comm_aware_prefers_urgent_tasks_then_priority() {
         let mut q = ReadyQueue::new(RtqPolicy::CommAware);
-        for v in [3, 1, 4, 2, 5] {
-            q.push(T(v));
-        }
         // Task 4 unblocks 3 remote ranks, task 2 unblocks 1; the rest none.
-        q.set_urgency(T(4), 3);
-        q.set_urgency(T(2), 1);
+        for (v, urgency) in [(3, 0), (1, 0), (4, 3), (2, 1), (5, 0)] {
+            q.push_urgent(T(v), urgency);
+        }
         assert_eq!(drain(q), vec![4, 2, 1, 3, 5]);
     }
 

@@ -124,9 +124,18 @@ impl From<LowRankMat> for Block {
 }
 
 /// This rank's slice of the factor.
+///
+/// Blocks sit in a `Vec` in [`BlockStore::init`]'s allocation order — for
+/// each supernode `j` ascending, the diagonal block `(j, j)` if owned, then
+/// the owned off-diagonal blocks of `j` in layout (ascending target)
+/// order. A block's position is its *slot*; precomputed schedules (the
+/// triangular solve's `SolveSchedule`) read blocks by slot, and keyed
+/// access goes through a key → slot index built in the same pass.
 #[derive(Debug, Default)]
 pub struct BlockStore {
-    blocks: HashMap<BlockKey, Block>,
+    keys: Vec<BlockKey>,
+    blocks: Vec<Option<Block>>,
+    index: HashMap<BlockKey, u32>,
 }
 
 impl BlockStore {
@@ -136,21 +145,20 @@ impl BlockStore {
     /// `ap` must already carry the symbolic factor's composite permutation.
     pub fn init(sf: &SymbolicFactor, ap: &SparseSym, grid: &ProcGrid, rank: usize) -> Self {
         let ns = sf.n_supernodes();
-        let mut blocks = HashMap::new();
-        // Allocate.
+        let mut store = BlockStore::default();
+        // Slot of each owned off-diagonal block of the current supernode,
+        // by its position in the layout.
+        let mut col_slots: Vec<Option<usize>> = Vec::new();
         for j in 0..ns {
             let w = sf.partition.width(j);
-            if grid.map(j, j) == rank {
-                blocks.insert((j, j), Mat::zeros(w, w));
-            }
-            for b in sf.layout.blocks_of(j) {
-                if grid.map(b.target, j) == rank {
-                    blocks.insert((b.target, j), Mat::zeros(b.n_rows, w));
-                }
-            }
-        }
-        // Scatter values of A's lower triangle.
-        for j in 0..ns {
+            let diag = (grid.map(j, j) == rank).then(|| store.push((j, j), Mat::zeros(w, w)));
+            let blocks = sf.layout.blocks_of(j);
+            col_slots.clear();
+            col_slots.extend(blocks.iter().map(|b| {
+                (grid.map(b.target, j) == rank)
+                    .then(|| store.push((b.target, j), Mat::zeros(b.n_rows, w)))
+            }));
+            // Scatter values of A's lower triangle in supernode j.
             let first = sf.partition.first_col(j);
             let last = sf.partition.last_col(j);
             let pat = &sf.patterns[j];
@@ -159,64 +167,97 @@ impl BlockStore {
                 for (&r, &v) in ap.col_rows(c).iter().zip(ap.col_values(c)) {
                     if r <= last {
                         // Diagonal block entry.
-                        if let Some(m) = blocks.get_mut(&(j, j)) {
-                            m[(r - first, jc)] = v;
+                        if let Some(slot) = diag {
+                            store.dense_at(slot)[(r - first, jc)] = v;
                         }
-                    } else {
-                        let t = sf.partition.supno(r);
-                        if grid.map(t, j) != rank {
-                            continue;
-                        }
-                        let b = sf.layout.find(t, j).expect("pattern row must have a block");
-                        let rows = &pat[b.row_offset..b.row_offset + b.n_rows];
-                        let ri = rows.binary_search(&r).expect("row in block");
-                        let m = blocks.get_mut(&(t, j)).expect("owned block allocated");
-                        m[(ri, jc)] = v;
+                        continue;
                     }
+                    let t = sf.partition.supno(r);
+                    let k = blocks
+                        .binary_search_by_key(&t, |b| b.target)
+                        .expect("pattern row must have a block");
+                    let Some(slot) = col_slots[k] else {
+                        continue;
+                    };
+                    let b = &blocks[k];
+                    let rows = &pat[b.row_offset..b.row_offset + b.n_rows];
+                    let ri = rows.binary_search(&r).expect("row in block");
+                    store.dense_at(slot)[(ri, jc)] = v;
                 }
             }
         }
-        BlockStore {
-            blocks: blocks
-                .into_iter()
-                .map(|(k, m)| (k, Block::Dense(m)))
-                .collect(),
-        }
+        store
+    }
+
+    /// Append a block in a new slot and index it.
+    fn push(&mut self, key: BlockKey, m: impl Into<Block>) -> usize {
+        let slot = self.blocks.len();
+        self.keys.push(key);
+        self.blocks.push(Some(m.into()));
+        self.index.insert(key, slot as u32);
+        slot
+    }
+
+    fn dense_at(&mut self, slot: usize) -> &mut Mat {
+        self.blocks[slot]
+            .as_mut()
+            .expect("freshly allocated block")
+            .dense_mut()
     }
 
     /// Borrow an owned block.
     pub fn get(&self, key: BlockKey) -> Option<&Block> {
-        self.blocks.get(&key)
+        let slot = *self.index.get(&key)?;
+        self.blocks[slot as usize].as_ref()
     }
 
     /// Mutably borrow an owned block.
     pub fn get_mut(&mut self, key: BlockKey) -> Option<&mut Block> {
-        self.blocks.get_mut(&key)
+        let slot = *self.index.get(&key)?;
+        self.blocks[slot as usize].as_mut()
     }
 
-    /// Take a block out (e.g. to run a kernel without aliasing).
+    /// The block in `slot` with its key (`None` for an empty or taken
+    /// slot). Slots follow [`BlockStore::init`]'s allocation order.
+    pub fn slot(&self, slot: usize) -> Option<(BlockKey, &Block)> {
+        let b = self.blocks.get(slot)?.as_ref()?;
+        Some((self.keys[slot], b))
+    }
+
+    /// Take a block out (e.g. to run a kernel without aliasing); its slot
+    /// stays reserved for [`put`](Self::put).
     pub fn take(&mut self, key: BlockKey) -> Option<Block> {
-        self.blocks.remove(&key)
+        let slot = *self.index.get(&key)?;
+        self.blocks[slot as usize].take()
     }
 
-    /// Put a block (back); accepts dense and low-rank forms.
+    /// Put a block (back) into its slot — a new key gets a new slot at the
+    /// end. Accepts dense and low-rank forms.
     pub fn put(&mut self, key: BlockKey, m: impl Into<Block>) {
-        self.blocks.insert(key, m.into());
+        match self.index.get(&key) {
+            Some(&slot) => self.blocks[slot as usize] = Some(m.into()),
+            None => {
+                self.push(key, m);
+            }
+        }
     }
 
     /// Number of blocks held.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.blocks.iter().filter(|b| b.is_some()).count()
     }
 
-    /// True when this rank owns nothing (tiny matrices on big grids).
+    /// True when this rank holds no block (tiny matrices on big grids).
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate over held blocks.
+    /// Iterate over held blocks in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&BlockKey, &Block)> {
-        self.blocks.iter()
+        self.keys
+            .iter()
+            .zip(&self.blocks)
+            .filter_map(|(k, b)| Some((k, b.as_ref()?)))
     }
 }
 
@@ -280,6 +321,41 @@ mod tests {
             for (k, _) in s.iter() {
                 assert!(seen.insert(*k), "block {k:?} duplicated");
             }
+        }
+    }
+
+    #[test]
+    fn slots_follow_allocation_order_and_survive_take_put() {
+        let (sf, ap) = setup();
+        let grid = ProcGrid::squarest(2);
+        for rank in 0..2 {
+            let mut store = BlockStore::init(&sf, &ap, &grid, rank);
+            let mut want = Vec::new();
+            for j in 0..sf.n_supernodes() {
+                if grid.map(j, j) == rank {
+                    want.push((j, j));
+                }
+                for b in sf.layout.blocks_of(j) {
+                    if grid.map(b.target, j) == rank {
+                        want.push((b.target, j));
+                    }
+                }
+            }
+            let got: Vec<BlockKey> = store.iter().map(|(k, _)| *k).collect();
+            assert_eq!(got, want, "rank {rank}");
+            for (s, key) in want.iter().enumerate() {
+                assert_eq!(store.slot(s).map(|(k, _)| k), Some(*key));
+            }
+            // A taken block leaves its slot empty; putting it back refills
+            // the same slot.
+            let key = want[0];
+            let blk = store.take(key).unwrap();
+            assert!(store.slot(0).is_none());
+            assert!(store.get(key).is_none());
+            assert_eq!(store.len(), want.len() - 1);
+            store.put(key, blk);
+            assert_eq!(store.slot(0).map(|(k, _)| k), Some(key));
+            assert_eq!(store.len(), want.len());
         }
     }
 }

@@ -6,8 +6,8 @@
 //! travel between ranks (the fan-out).
 
 use crate::map2d::ProcGrid;
-use crate::sched::TaskKind;
-use std::collections::HashMap;
+use crate::sched::{Csr, TaskId, TaskKind};
+use std::sync::Arc;
 use sympack_dense::{flops, KernelConfig};
 use sympack_gpu::{CostModel, Op};
 use sympack_symbolic::SymbolicFactor;
@@ -211,115 +211,172 @@ impl TaskKey {
     }
 }
 
-/// The slice of the task graph owned by one rank. `Clone` lets a solver
-/// session build the graph once per rank and reuse it across numeric
-/// re-factorizations (the dependency counters are rebuilt-by-copy).
+/// Id marking "no task owned here" in the per-block id tables.
+const NO_TASK: TaskId = TaskId::MAX;
+
+/// The slice of the task graph owned by one rank, as a dense task table.
+///
+/// Task `id` has key `keys[id]` and `deps[id]` incoming dependencies
+/// (paper: "an incoming dependency counter, initially set to the number of
+/// incoming edges in the task graph"); the engine's
+/// [`TaskEngine`](crate::sched::TaskEngine) runs on exactly these ids.
+/// Off-diagonal blocks are addressed by their *global block index*: the
+/// blocks of supernode `j` in layout order, after those of every `k < j`.
+/// A solver session builds the slice once per rank and shares it (behind
+/// an `Arc`) across numeric re-factorizations.
 #[derive(Debug, Default, Clone)]
 pub struct LocalTasks {
-    /// Scheduling state per owned task (the LTQ of §3.4).
-    pub tasks: HashMap<TaskKey, TaskState>,
-    /// For each factored input block `(i,j)`, the owned update tasks
-    /// consuming it.
-    pub consumers: HashMap<(usize, usize), Vec<TaskKey>>,
-    /// Owned panel tasks consuming each diagonal factor `(j,j)`.
-    pub diag_consumers: HashMap<usize, Vec<TaskKey>>,
+    /// Owned tasks, indexed by [`TaskId`].
+    pub keys: Arc<Vec<TaskKey>>,
+    /// Initial dependency counter of each task, by id.
+    pub deps: Vec<u32>,
+    /// For each off-diagonal factor block `L(i,j)` (by global block index),
+    /// the owned update tasks consuming it.
+    pub consumers: Csr,
+    /// For each supernode `j`, the owned panel tasks consuming `L(j,j)`.
+    pub diag_consumers: Csr,
+    /// Id of the owned task `D(j)`, by supernode ([`NO_TASK`] elsewhere).
+    diag_task: Vec<TaskId>,
+    /// Id of the owned task `F(i,j)`, by global block index.
+    panel_task: Vec<TaskId>,
+    /// Global index of each supernode's first off-diagonal block.
+    block_base: Vec<u32>,
     /// Total owned tasks.
     pub total: usize,
 }
 
+/// Global index of block `L(i,j)` given the per-supernode bases.
+fn block_index(sf: &SymbolicFactor, base: &[u32], i: usize, j: usize) -> usize {
+    let k = sf
+        .layout
+        .blocks_of(j)
+        .binary_search_by_key(&i, |b| b.target)
+        .expect("block exists");
+    base[j] as usize + k
+}
+
 impl LocalTasks {
     /// Enumerate the tasks owned by `rank` and compute their dependency
-    /// counters (paper: "an incoming dependency counter, initially set to
-    /// the number of incoming edges in the task graph").
+    /// counters and consumer lists, in one pass over the update pairs.
     pub fn build(sf: &SymbolicFactor, grid: &ProcGrid, rank: usize) -> Self {
         let ns = sf.n_supernodes();
-        let mut tasks: HashMap<TaskKey, TaskState> = HashMap::new();
-        let mut consumers: HashMap<(usize, usize), Vec<TaskKey>> = HashMap::new();
-        let mut diag_consumers: HashMap<usize, Vec<TaskKey>> = HashMap::new();
-        // Update counts per owned target block (i, j) and diagonal j.
-        let mut upd_into: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut block_base = Vec::with_capacity(ns + 1);
+        let mut nb = 0u32;
+        for j in 0..ns {
+            block_base.push(nb);
+            nb += sf.layout.blocks_of(j).len() as u32;
+        }
+        block_base.push(nb);
+        let mut keys = Vec::new();
+        let mut deps = Vec::new();
+        // (input block, consuming task) pairs, in enumeration order.
+        let mut consumer_pairs: Vec<(u32, TaskId)> = Vec::new();
+        let mut diag_pairs: Vec<(u32, TaskId)> = Vec::new();
+        // Update counts into each owned diagonal / off-diagonal block.
+        let mut upd_into_diag = vec![0u32; ns];
+        let mut upd_into_block = vec![0u32; nb as usize];
         for j in 0..ns {
             let blocks = sf.layout.blocks_of(j);
+            let base = block_base[j];
             // Update tasks: every ordered pair (a ≥ b) of targets of j.
             for (bi, bb) in blocks.iter().enumerate() {
-                for ba in &blocks[bi..] {
+                for (ai, ba) in blocks.iter().enumerate().skip(bi) {
                     let (a, b) = (ba.target, bb.target);
                     if grid.map(a, b) != rank {
                         continue;
                     }
-                    let key = TaskKey::Update { j, a, b };
+                    let id = keys.len() as TaskId;
+                    keys.push(TaskKey::Update { j, a, b });
                     // Inputs: L(a,j) and L(b,j) — one dependency when equal.
-                    let deps = if a == b { 1 } else { 2 };
-                    tasks.insert(
-                        key,
-                        TaskState {
-                            deps,
-                            ready_at: 0.0,
-                        },
-                    );
-                    consumers.entry((a, j)).or_default().push(key);
-                    if a != b {
-                        consumers.entry((b, j)).or_default().push(key);
+                    deps.push(if a == b { 1 } else { 2 });
+                    consumer_pairs.push((base + ai as u32, id));
+                    if a == b {
+                        upd_into_diag[b] += 1;
+                    } else {
+                        consumer_pairs.push((base + bi as u32, id));
+                        upd_into_block[block_index(sf, &block_base, a, b)] += 1;
                     }
-                    *upd_into.entry((a, b)).or_default() += 1;
                 }
             }
         }
+        let mut diag_task = vec![NO_TASK; ns];
+        let mut panel_task = vec![NO_TASK; nb as usize];
         for j in 0..ns {
             if grid.map(j, j) == rank {
-                let deps = upd_into.get(&(j, j)).copied().unwrap_or(0);
-                tasks.insert(
-                    TaskKey::Diag { j },
-                    TaskState {
-                        deps,
-                        ready_at: 0.0,
-                    },
-                );
+                diag_task[j] = keys.len() as TaskId;
+                keys.push(TaskKey::Diag { j });
+                deps.push(upd_into_diag[j]);
             }
-            for b in sf.layout.blocks_of(j) {
+            for (k, b) in sf.layout.blocks_of(j).iter().enumerate() {
                 let i = b.target;
                 if grid.map(i, j) == rank {
-                    let deps = 1 + upd_into.get(&(i, j)).copied().unwrap_or(0);
-                    let key = TaskKey::Panel { i, j };
-                    tasks.insert(
-                        key,
-                        TaskState {
-                            deps,
-                            ready_at: 0.0,
-                        },
-                    );
-                    diag_consumers.entry(j).or_default().push(key);
+                    let g = block_base[j] as usize + k;
+                    let id = keys.len() as TaskId;
+                    panel_task[g] = id;
+                    keys.push(TaskKey::Panel { i, j });
+                    deps.push(1 + upd_into_block[g]);
+                    diag_pairs.push((j as u32, id));
                 }
             }
         }
-        let total = tasks.len();
+        let total = keys.len();
         LocalTasks {
-            tasks,
-            consumers,
-            diag_consumers,
+            keys: Arc::new(keys),
+            deps,
+            consumers: Csr::from_pairs(nb as usize, &consumer_pairs),
+            diag_consumers: Csr::from_pairs(ns, &diag_pairs),
+            diag_task,
+            panel_task,
+            block_base,
             total,
         }
+    }
+
+    /// Owned update tasks consuming the factored block `L(i,j)`: for
+    /// `i == j` the panel tasks `F(·,j)`, otherwise the updates `U(·,j,·)`.
+    pub fn consumers_of(&self, sf: &SymbolicFactor, i: usize, j: usize) -> &[TaskId] {
+        if i == j {
+            self.diag_consumers.row(j)
+        } else {
+            self.consumers.row(block_index(sf, &self.block_base, i, j))
+        }
+    }
+
+    /// Id of the owned task factoring block `(i,j)` — `D(j)` when
+    /// `i == j`, else `F(i,j)` — the local successor of every update into
+    /// that block.
+    ///
+    /// # Panics
+    /// Panics if this rank does not own the block.
+    pub fn factor_task(&self, sf: &SymbolicFactor, i: usize, j: usize) -> TaskId {
+        let id = if i == j {
+            self.diag_task[j]
+        } else {
+            self.panel_task[block_index(sf, &self.block_base, i, j)]
+        };
+        assert_ne!(id, NO_TASK, "block ({i},{j}) is not owned by this rank");
+        id
     }
 
     /// Estimated total kernel seconds of this rank's slice — the sum of
     /// per-task roofline estimates (see [`TaskKey::estimate_secs`]); the
     /// rank-balance numerator for mapping diagnostics.
     pub fn estimated_secs(&self, sf: &SymbolicFactor, cost: &CostModel, cfg: &KernelConfig) -> f64 {
-        self.tasks
-            .keys()
+        self.keys
+            .iter()
             .map(|k| k.estimate_secs(sf, cost, cfg))
             .sum()
     }
 
-    /// Tasks with zero dependencies (initial RTQ contents).
+    /// Tasks with zero dependencies (initial RTQ contents), in seed order.
     pub fn initially_ready(&self) -> Vec<TaskKey> {
         let mut v: Vec<TaskKey> = self
-            .tasks
+            .keys
             .iter()
-            .filter(|(_, s)| s.deps == 0)
+            .zip(&self.deps)
+            .filter(|(_, &d)| d == 0)
             .map(|(k, _)| *k)
             .collect();
-        // Deterministic order regardless of hash iteration.
         v.sort_by_key(|k| k.seed_key());
         v
     }
@@ -384,6 +441,44 @@ mod tests {
     }
 
     #[test]
+    fn consumer_lists_and_factor_ids_match_the_task_keys() {
+        let sf = sf();
+        let grid = ProcGrid::squarest(4);
+        for r in 0..4 {
+            let lt = LocalTasks::build(&sf, &grid, r);
+            assert_eq!(lt.keys.len(), lt.total);
+            assert_eq!(lt.deps.len(), lt.total);
+            let mut edges = 0;
+            for (id, k) in lt.keys.iter().enumerate() {
+                let id = id as TaskId;
+                match *k {
+                    TaskKey::Update { j, a, b } => {
+                        // Listed once under each distinct input block.
+                        assert!(lt.consumers_of(&sf, a, j).contains(&id));
+                        assert!(lt.consumers_of(&sf, b, j).contains(&id));
+                        edges += if a == b { 1 } else { 2 };
+                        // Its local successor factors the target block.
+                        let succ = lt.keys[lt.factor_task(&sf, a, b) as usize];
+                        let want = if a == b {
+                            TaskKey::Diag { j: b }
+                        } else {
+                            TaskKey::Panel { i: a, j: b }
+                        };
+                        assert_eq!(succ, want);
+                    }
+                    TaskKey::Panel { i, j } => {
+                        assert!(lt.consumers_of(&sf, j, j).contains(&id));
+                        assert_eq!(lt.factor_task(&sf, i, j), id);
+                        edges += 1;
+                    }
+                    TaskKey::Diag { j } => assert_eq!(lt.factor_task(&sf, j, j), id),
+                }
+            }
+            assert_eq!(lt.consumers.len() + lt.diag_consumers.len(), edges);
+        }
+    }
+
+    #[test]
     fn single_rank_initial_ready_tasks_are_leaf_diagonals() {
         let sf = sf();
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
@@ -415,7 +510,7 @@ mod tests {
             let m = sf.layout.blocks_of(j).len();
             expect += m * m + m + m * (m + 1) / 2;
         }
-        let total: usize = lt.tasks.values().map(|s| s.deps).sum();
+        let total: usize = lt.deps.iter().map(|&d| d as usize).sum();
         assert_eq!(total, expect);
     }
 
@@ -427,7 +522,7 @@ mod tests {
         let single = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let total1 = single.estimated_secs(&sf, &cost, &cfg);
         assert!(total1 > 0.0);
-        for k in single.tasks.keys() {
+        for k in single.keys.iter() {
             assert!(k.estimate_secs(&sf, &cost, &cfg) > 0.0, "{k:?}");
             assert!(k.flops(&sf) > 0, "{k:?}");
         }
@@ -461,8 +556,8 @@ mod tests {
         };
         let lt = LocalTasks::build(&sf, &ProcGrid::squarest(1), 0);
         let gemm = lt
-            .tasks
-            .keys()
+            .keys
+            .iter()
             .find(|k| k.op() == sympack_gpu::Op::Gemm)
             .expect("graph has a gemm task");
         let t_no = gemm.estimate_secs(&sf, &cost, &no_pack);
@@ -486,7 +581,7 @@ mod tests {
                         continue;
                     }
                     let lt = LocalTasks::build(&sf, &grid, r);
-                    if lt.consumers.contains_key(&(i, j)) {
+                    if !lt.consumers_of(&sf, i, j).is_empty() {
                         assert!(dests.contains(&r), "rank {r} missing for L({i},{j})");
                     }
                 }

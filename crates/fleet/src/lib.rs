@@ -412,11 +412,10 @@ impl Fleet {
     /// `arrival`. Returns a per-tenant job ticket matched by
     /// [`FleetCompleted::id`].
     ///
-    /// # Panics
-    /// Panics when `rhs` length differs from the tenant's matrix order.
-    ///
     /// # Errors
-    /// [`FleetError::UnknownTenant`] / [`FleetError::QueueFull`].
+    /// [`FleetError::UnknownTenant`] / [`FleetError::QueueFull`];
+    /// [`FleetError::Solver`] wrapping [`SolverError::RhsShape`] when `rhs`
+    /// length differs from the tenant's matrix order.
     pub fn submit_at(
         &mut self,
         tenant: TenantId,
@@ -429,11 +428,7 @@ impl Fleet {
             .ok_or_else(|| FleetError::UnknownTenant {
                 tenant: format!("#{}", tenant.0),
             })?;
-        assert_eq!(
-            rhs.len(),
-            t.session.n(),
-            "rhs length must match the tenant matrix"
-        );
+        SolverError::check_rhs(t.session.n(), std::slice::from_ref(&rhs))?;
         if t.pending.len() >= self.config.max_pending_per_tenant {
             t.metrics.jobs_rejected += 1;
             return Err(FleetError::QueueFull {
@@ -850,6 +845,20 @@ mod tests {
             max_batch: 4,
             quantum: 2.0,
         }
+    }
+
+    #[test]
+    fn mis_shaped_rhs_is_a_typed_error() {
+        let a = laplacian_2d(5, 4);
+        let mut fleet = Fleet::new(&opts(1), config());
+        let t = fleet.admit("alice", &a, 1.0).unwrap();
+        match fleet.submit_at(t, vec![0.0; 19], 0.0) {
+            Err(FleetError::Solver(SolverError::RhsShape { expected, actual })) => {
+                assert_eq!((expected, actual), ((20, 1), (19, 1)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        assert!(fleet.submit_at(t, test_rhs(20), 0.0).is_ok());
     }
 
     #[test]

@@ -321,13 +321,11 @@ impl Session {
     /// Returns the coalesced solve's virtual makespan; an empty batch is a
     /// no-op with zero cost.
     ///
-    /// # Panics
-    /// Panics when a panel's row count differs from the session matrix.
-    ///
     /// # Errors
-    /// [`SolverError::FactorEvicted`] when the factor was evicted and not
-    /// re-materialized, plus the solve's fault-injection diagnoses
-    /// ([`SolverError::Stalled`], [`SolverError::FetchTimeout`]).
+    /// [`SolverError::RhsShape`] when a panel's row count differs from the
+    /// session matrix; [`SolverError::FactorEvicted`] when the factor was
+    /// evicted and not re-materialized, plus the solve's fault-injection
+    /// diagnoses ([`SolverError::Stalled`], [`SolverError::FetchTimeout`]).
     pub fn solve_batch(&self, panels: &[RhsPanel]) -> Result<BatchSolve, SolverError> {
         let total: usize = panels.iter().map(|p| p.nrhs()).sum();
         if total == 0 {
@@ -337,14 +335,19 @@ impl Session {
                 nrhs: 0,
             });
         }
+        let n = self.n();
+        if let Some(p) = panels.iter().find(|p| p.n() != n) {
+            return Err(SolverError::RhsShape {
+                expected: (n, p.nrhs()),
+                actual: (p.n(), p.nrhs()),
+            });
+        }
         let stores = self.stores.as_ref().ok_or(SolverError::FactorEvicted {
             pattern: self.plan.pattern(),
         })?;
-        let n = self.n();
         let mut bp = vec![0.0; n * total];
         let mut k = 0;
         for p in panels {
-            assert_eq!(p.n(), n, "rhs panel rows must match the session matrix");
             for c in 0..p.nrhs() {
                 let col = self.plan.sf().perm.apply_vec(p.column(c));
                 bp[k * n..(k + 1) * n].copy_from_slice(&col);
@@ -574,18 +577,13 @@ impl Server {
     /// Submit one right-hand side arriving at virtual time `arrival`.
     /// Returns a job ticket matched by [`CompletedJob::id`].
     ///
-    /// # Panics
-    /// Panics when `rhs` length differs from the session matrix order.
-    ///
     /// # Errors
     /// [`ServiceError::QueueFull`] when the queue is at
-    /// [`ServerConfig::max_pending`].
+    /// [`ServerConfig::max_pending`]; [`ServiceError::Solver`] wrapping
+    /// [`SolverError::RhsShape`] when `rhs` length differs from the session
+    /// matrix order.
     pub fn submit_at(&mut self, rhs: Vec<f64>, arrival: f64) -> Result<u64, ServiceError> {
-        assert_eq!(
-            rhs.len(),
-            self.session.n(),
-            "rhs length must match the session matrix"
-        );
+        SolverError::check_rhs(self.session.n(), std::slice::from_ref(&rhs))?;
         if self.pending.len() >= self.config.max_pending {
             self.metrics.jobs_rejected += 1;
             self.telemetry
@@ -702,6 +700,61 @@ mod tests {
             ranks_per_node: p,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn solves_reuse_the_plan_solve_schedules() {
+        let a = laplacian_2d(7, 6);
+        let lockstep = SolverOptions {
+            deterministic: true,
+            ..opts(2)
+        };
+        let session = Session::new(&a, &lockstep).unwrap();
+        let b = test_rhs(a.n());
+        let x1 = session.solve(&b).unwrap();
+        let first: Vec<_> = session.plan().symbolic.solve_schedules().to_vec();
+        let x2 = session.solve(&b).unwrap();
+        let second = session.plan().symbolic.solve_schedules();
+        assert_eq!(first.len(), 2);
+        for (s1, s2) in first.iter().zip(second) {
+            assert!(Arc::ptr_eq(s1, s2), "schedule rebuilt between solves");
+        }
+        assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn mis_shaped_panels_are_typed_errors() {
+        let a = laplacian_2d(5, 5);
+        let session = Session::new(&a, &opts(1)).unwrap();
+        let good = RhsPanel::from_vector(&test_rhs(25));
+        let bad = RhsPanel::new(24, 2, vec![1.0; 48]);
+        match session.solve_batch(&[good, bad]) {
+            Err(SolverError::RhsShape { expected, actual }) => {
+                assert_eq!((expected, actual), ((25, 2), (24, 2)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        match session.solve(&[1.0; 26]) {
+            Err(SolverError::RhsShape { expected, actual }) => {
+                assert_eq!((expected, actual), ((25, 1), (26, 1)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn server_rejects_a_mis_shaped_rhs_with_a_typed_error() {
+        let a = laplacian_2d(5, 5);
+        let session = Session::new(&a, &opts(1)).unwrap();
+        let mut server = Server::new(session, ServerConfig::default());
+        match server.submit_at(vec![1.0; 3], 0.0) {
+            Err(ServiceError::Solver(SolverError::RhsShape { expected, actual })) => {
+                assert_eq!((expected, actual), ((25, 1), (3, 1)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        assert_eq!(server.pending(), 0, "rejected job never queued");
+        assert!(server.submit_at(test_rhs(25), 0.0).is_ok());
     }
 
     #[test]
