@@ -7,21 +7,23 @@
 //!             [--seed S] [--metrics-json <path>]
 //! ```
 //!
-//! Builds a 2D Laplacian, creates one [`Session`], fronts it with a
-//! [`Server`], and replays a bursty arrival pattern: jobs arrive in bursts
-//! (so the server has something to coalesce) separated by idle gaps, with a
-//! numeric re-factorization every `--refactor-every` jobs. Every completed
+//! Builds a 2D Laplacian, admits it as the one tenant of a one-shard
+//! [`Fleet`] (with `quantum = max_batch`, so every scheduling round serves
+//! the oldest `max_batch` queued jobs as one panel solve), and replays a
+//! bursty arrival pattern: jobs arrive in bursts (so the fleet has
+//! something to coalesce) separated by idle gaps, with a numeric
+//! re-factorization every `--refactor-every` jobs. Every completed
 //! job's residual is checked against the right-hand side it was submitted
 //! with.
 //!
 //! Exit status is non-zero when the run is unhealthy: any residual above
 //! `1e-8`, or zero coalesced jobs (batching never combined two requests —
 //! the serving layer's reason to exist). `--metrics-json` writes the
-//! session's [`ServiceMetrics`] JSON for CI artifact upload.
+//! tenant's `ServiceMetrics` JSON for CI artifact upload.
 
 use std::process::ExitCode;
 use sympack::SolverOptions;
-use sympack_service::{Server, ServerConfig, ServiceError, Session};
+use sympack_fleet::{Fleet, FleetConfig, FleetError};
 use sympack_sparse::gen::{laplacian_2d, XorShift64};
 
 struct Args {
@@ -105,8 +107,18 @@ fn main() -> ExitCode {
         ranks_per_node: args.ppn,
         ..Default::default()
     };
-    let session = match Session::new(&a, &opts) {
-        Ok(s) => s,
+    let mut fleet = Fleet::new(
+        &opts,
+        FleetConfig {
+            shards: 1,
+            factor_budget_bytes: 0,
+            max_pending_per_tenant: args.max_pending,
+            max_batch: args.max_batch,
+            quantum: args.max_batch as f64,
+        },
+    );
+    let tenant = match fleet.admit("serve", &a, 1.0) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("session creation failed: {e}");
             return ExitCode::FAILURE;
@@ -115,19 +127,12 @@ fn main() -> ExitCode {
     println!(
         "session: {} ranks, analyze {:.1} ms (wall), first factor {:.6} s (virtual)",
         args.nodes * args.ppn,
-        session.analyze_wall_ms(),
-        session.first_factor_time()
-    );
-    let mut server = Server::new(
-        session,
-        ServerConfig {
-            max_pending: args.max_pending,
-            max_batch: args.max_batch,
-        },
+        fleet.tenant_analyze_wall_ms(tenant),
+        fleet.session(tenant).first_factor_time()
     );
 
     // Fixed request mix: bursts of up to max_batch jobs in a tight window,
-    // then an idle gap long enough that the server drains between bursts.
+    // then an idle gap long enough that the fleet drains between bursts.
     let mut rng = XorShift64::new(args.seed);
     let mut clock = 0.0f64;
     let mut submitted = 0usize;
@@ -139,12 +144,12 @@ fn main() -> ExitCode {
         for _ in 0..burst.min(args.jobs - submitted) {
             let rhs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
             clock += rng.next_f64() * 1e-5;
-            match server.submit_at(rhs.clone(), clock) {
+            match fleet.submit_at(tenant, rhs.clone(), clock) {
                 Ok(id) => outstanding.push((id, rhs)),
-                Err(ServiceError::QueueFull { .. }) => {
+                Err(FleetError::QueueFull { .. }) => {
                     // Admission pushed back; serve a batch, then retry once.
                     if drain_and_check(
-                        &mut server,
+                        &mut fleet,
                         &a,
                         &mut outstanding,
                         &mut worst_residual,
@@ -154,7 +159,7 @@ fn main() -> ExitCode {
                     {
                         return ExitCode::FAILURE;
                     }
-                    match server.submit_at(rhs.clone(), clock) {
+                    match fleet.submit_at(tenant, rhs.clone(), clock) {
                         Ok(id) => outstanding.push((id, rhs)),
                         Err(e) => {
                             eprintln!("resubmission failed: {e}");
@@ -179,7 +184,7 @@ fn main() -> ExitCode {
                 // Serve what is queued against the current factor first —
                 // refactorize changes the operator under pending solves.
                 if drain_and_check(
-                    &mut server,
+                    &mut fleet,
                     &a,
                     &mut outstanding,
                     &mut worst_residual,
@@ -189,7 +194,7 @@ fn main() -> ExitCode {
                 {
                     return ExitCode::FAILURE;
                 }
-                if let Err(e) = server.refactorize(&values) {
+                if let Err(e) = fleet.refactorize(tenant, &values) {
                     eprintln!("refactorize failed: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -202,16 +207,16 @@ fn main() -> ExitCode {
                 for c in 0..a.n() {
                     orig.extend_from_slice(a.col_values(c));
                 }
-                if let Err(e) = server.refactorize(&orig) {
+                if let Err(e) = fleet.refactorize(tenant, &orig) {
                     eprintln!("refactorize (restore) failed: {e}");
                     return ExitCode::FAILURE;
                 }
             }
         }
-        // Idle gap after the burst: the server catches up.
+        // Idle gap after the burst: the fleet catches up.
         clock += 1.0;
         if drain_and_check(
-            &mut server,
+            &mut fleet,
             &a,
             &mut outstanding,
             &mut worst_residual,
@@ -223,7 +228,7 @@ fn main() -> ExitCode {
         }
     }
     if drain_and_check(
-        &mut server,
+        &mut fleet,
         &a,
         &mut outstanding,
         &mut worst_residual,
@@ -234,7 +239,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let m = server.metrics();
+    let m = fleet.tenant_metrics(tenant);
     println!(
         "jobs: submitted {}, served {served}, rejected-then-retried {}",
         m.jobs_submitted, m.jobs_rejected
@@ -279,16 +284,16 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Drain the server and verify every completed job against its recorded
+/// Drain the fleet and verify every completed job against its recorded
 /// right-hand side. Returns `Err(())` after printing the failure.
 fn drain_and_check(
-    server: &mut Server,
+    fleet: &mut Fleet,
     a: &sympack_sparse::SparseSym,
     outstanding: &mut Vec<(u64, Vec<f64>)>,
     worst: &mut f64,
     served: &mut usize,
 ) -> Result<(), ()> {
-    let done = match server.drain() {
+    let done = match fleet.drain() {
         Ok(d) => d,
         Err(e) => {
             eprintln!("solve failed: {e}");

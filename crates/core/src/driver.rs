@@ -1,13 +1,15 @@
 //! High-level driver: analysis → distributed factorization → solve.
 
-use crate::engine::FactoEngine;
 use crate::map2d::ProcGrid;
-use crate::plan::{make_kernels, SolvePlan};
+use crate::plan::{factor_numeric, factor_rank, factor_store_bytes, solve_rank, SolvePlan};
+use crate::storage::{BlockKey, BlockStore};
 use crate::taskgraph::RtqPolicy;
 use crate::trisolve;
 use crate::SolverError;
-use std::sync::atomic::AtomicBool;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use sympack_dense::Mat;
 use sympack_gpu::{OffloadThresholds, OomPolicy, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
 use sympack_pgas::coalesce::{BcastTopology, CoalesceConfig};
@@ -52,14 +54,25 @@ pub struct SolverOptions {
     /// paper's runs — its PaStiX driver had refinement explicitly disabled).
     /// Each step gathers the iterate, forms the residual against the
     /// permuted matrix, and re-runs the distributed triangular solve.
+    /// Every entry point honours it — the [`SymPack`] driver, every
+    /// `Session` solve and every `Fleet` request — through the one solve
+    /// body, [`crate::plan::solve_rank`]. (The bare
+    /// [`crate::plan::solve_panel_distributed`] has no matrix to refine
+    /// against and runs one panel solve.)
     pub refine_steps: usize,
-    /// Collect a per-task execution timeline (see `sympack-trace`); events
-    /// are returned in the report for Chrome-trace export.
+    /// Collect a per-task execution timeline (see `sympack-trace`). The
+    /// [`SymPack`] driver returns the events in its report
+    /// ([`SolveReport::trace`], [`SolveReport::profile`]) for Chrome-trace
+    /// export. `Session` and `Fleet` factorizations install the same
+    /// hooks but do not return per-rank events; a `Fleet` records its own
+    /// per-request spans.
     pub trace: bool,
     /// Collect live telemetry (counters, gauges, histograms, time-series
     /// rings sampled on the virtual clock) and run a per-rank health
-    /// watchdog. Retrieve the merged snapshot and health events through
-    /// [`SymPack::try_factor_and_solve_observed`]; snapshots are
+    /// watchdog. Only the [`SymPack`] driver surfaces the merged snapshot
+    /// and health events, through
+    /// [`SymPack::try_factor_and_solve_observed`]; a `Fleet` keeps its own
+    /// registry and watchdog (`Fleet::telemetry_json`). Snapshots are
     /// bit-deterministic under `deterministic` lockstep. Telemetry never
     /// touches the virtual clocks, so modeled makespans are unchanged.
     pub telemetry: bool,
@@ -166,13 +179,6 @@ pub struct SolveReport {
 /// The pieces of `x` a rank owns after one triangular solve.
 type XPieces = Vec<(usize, Vec<f64>)>;
 
-/// Drain the rank-level comm tracer (empty when tracing is off).
-fn comm_events(rank: &mut sympack_pgas::Rank) -> Vec<sympack_trace::TraceEvent> {
-    rank.take_tracer()
-        .map(sympack_trace::Tracer::into_events)
-        .unwrap_or_default()
-}
-
 /// What one rank hands back to the driver.
 struct RankOut {
     error: Option<SolverError>,
@@ -186,23 +192,11 @@ struct RankOut {
     factor_bytes: u64,
     trace: Vec<sympack_trace::TraceEvent>,
     /// Executed scheduler tasks per kind (factorization + first solve).
-    tasks: Vec<(String, u64)>,
+    tasks: Vec<(&'static str, u64)>,
     /// This rank's telemetry snapshot (None unless `SolverOptions::telemetry`).
     telemetry: Option<sympack_trace::telemetry::TelemetrySnapshot>,
     /// Health events this rank's watchdog raised.
     health: Vec<sympack_trace::health::HealthEvent>,
-}
-
-/// Outcome of factorization without a solve (used by benches that time the
-/// phases separately).
-#[derive(Debug)]
-pub struct FactorizeOutcome {
-    /// Virtual factorization makespan.
-    pub factor_time: f64,
-    /// Per-rank op counts.
-    pub op_counts: Vec<OpCounts>,
-    /// Communication counters.
-    pub stats: StatsSnapshot,
 }
 
 /// Result of a factor-once / solve-many run.
@@ -350,150 +344,62 @@ impl SymPack {
             return (Err(e), None);
         }
         let plan = SolvePlan::new(a, opts);
-        let sf = Arc::clone(plan.sf());
-        let ap = Arc::new(plan.permute(a));
-        let bps: Arc<Vec<Vec<f64>>> = Arc::new(bs.iter().map(|b| sf.perm.apply_vec(b)).collect());
-        let grid = plan.grid();
-        let config = plan.pgas_config();
+        let sf = plan.sf();
+        let ap = plan.permute(a);
+        let bps: Vec<Vec<f64>> = bs.iter().map(|b| sf.perm.apply_vec(b)).collect();
         let abort = Arc::new(AtomicBool::new(false));
-        let slices = &plan.symbolic.tasks;
-        let schedules = plan.symbolic.solve_schedules();
-        let opts2 = opts.clone();
-        let report = Runtime::run(config, |rank| {
-            let kernels = make_kernels(&opts2);
-            let mut engine = FactoEngine::with_tasks(
-                Arc::clone(&sf),
-                &ap,
-                grid,
-                rank.id(),
-                kernels,
-                opts2.rtq_policy,
-                opts2.oom_policy,
-                Arc::clone(&abort),
-                opts2.bcast,
-                opts2.coalesce,
-                Arc::clone(&slices[rank.id()]),
-            );
-            if opts2.trace {
-                engine.rt.tracer = Some(sympack_trace::Tracer::new());
-                // Comm-layer spans (rget/rput/rpc/drain) for the profile.
-                rank.set_tracer(sympack_trace::Tracer::new());
-            }
-            if opts2.telemetry {
-                // Scheduler instruments sample on the virtual clock after
-                // every charged task; the watchdog rides the rank so it
-                // also sees the solve phase's idle polls.
-                engine.rt.telemetry = Some(Box::new(
-                    sympack_trace::telemetry::SchedTelemetry::new(rank.id()),
-                ));
-                rank.set_watchdog(sympack_trace::health::Watchdog::new(
-                    sympack_trace::health::WatchRules::default(),
-                ));
-            }
-            let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-            let tel_snapshot = engine.rt.telemetry.take().map(|t| t.snapshot());
-            let mut trace = engine
-                .rt
-                .tracer
-                .take()
-                .map(sympack_trace::Tracer::into_events)
-                .unwrap_or_default();
-            let mut tasks: Vec<(String, u64)> = engine
-                .rt
-                .task_counts()
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v))
-                .collect();
-            let mut error = engine.rt.error.take();
+        // One run for factor and solves: the profile and the comm matrix
+        // cover the whole job.
+        let report = Runtime::run(plan.pgas_config(), |rank| {
+            let f = factor_rank(rank, &plan, &ap, &abort);
+            let mut trace = f.trace;
+            let mut tasks = f.task_counts;
+            let mut error = f.error;
             // A failed factorization skips the solves on every rank: the
             // failing rank carries the error, the others see the abort.
-            let factored = error.is_none() && !abort.load(std::sync::atomic::Ordering::SeqCst);
+            let factored = error.is_none() && !abort.load(Ordering::SeqCst);
             let mut solves = Vec::with_capacity(bps.len());
-            let schedule = &schedules[rank.id()];
             for bp in bps.iter().filter(|_| factored) {
-                let params = trisolve::SolveParams {
-                    policy: opts2.rtq_policy,
-                    msg_overhead: 0.0,
-                    // Trace the first solve only.
-                    trace: opts2.trace && solves.is_empty(),
-                };
-                let mut out = trisolve::solve(
-                    rank,
-                    schedule,
-                    Arc::clone(&sf),
-                    &engine.store,
-                    bp,
-                    make_kernels(&opts2),
-                    &params,
-                );
-                trace.append(&mut out.trace);
-                if solves.is_empty() {
-                    tasks.extend(out.task_counts.iter().map(|&(k, v)| (k.to_string(), v)));
+                // Trace the first solve only.
+                let first = solves.is_empty();
+                let mut s =
+                    solve_rank(rank, &plan, &f.store, Some(&ap), bp, 1, opts.trace && first);
+                trace.append(&mut s.trace);
+                if first {
+                    tasks.extend(s.task_counts);
                 }
-                error = out.error.take();
-                let (mut x, mut solve_time) = (out.x, out.elapsed);
+                error = s.error;
+                solves.push((s.elapsed, s.x));
                 // A diagnosed solve stall aborts the job; every rank breaks
                 // out of the per-rhs loop together (the solve itself is
                 // collective, so the break points stay aligned).
                 if error.is_some() || rank.job_aborted() {
-                    solves.push((solve_time, x));
                     break;
                 }
-                for _ in 0..opts2.refine_steps {
-                    // Gather the permuted iterate, form r = b - A·x, solve
-                    // the correction and add it in — classical iterative
-                    // refinement using the same distributed solve.
-                    let t0 = rank.now();
-                    let xp = trisolve::allgather_solution(rank, &sf, &x);
-                    let ax = ap.spmv(&xp);
-                    let rp: Vec<f64> = bp.iter().zip(&ax).map(|(b, a)| b - a).collect();
-                    // Charge the residual SpMV (2 flops per stored entry,
-                    // both triangles) to the local clock.
-                    rank.advance(2.0 * ap.nnz_full() as f64 / 4.0e9);
-                    let refine_params = trisolve::SolveParams {
-                        policy: opts2.rtq_policy,
-                        ..Default::default()
-                    };
-                    let dout = trisolve::solve(
-                        rank,
-                        schedule,
-                        Arc::clone(&sf),
-                        &engine.store,
-                        &rp,
-                        make_kernels(&opts2),
-                        &refine_params,
-                    );
-                    // Both piece lists follow the schedule's diagonal order.
-                    for ((sn, xs), (dsn, dx)) in x.iter_mut().zip(dout.x) {
-                        debug_assert_eq!(*sn, dsn, "same ownership");
-                        for (xi, di) in xs.iter_mut().zip(dx) {
-                            *xi += di;
-                        }
-                    }
-                    let dt = dout.elapsed;
-                    solve_time += dt + (rank.now() - t0 - dt).max(0.0);
-                }
-                solves.push((solve_time, x));
             }
-            trace.extend(comm_events(rank));
+            trace.extend(
+                rank.take_tracer()
+                    .map(sympack_trace::Tracer::into_events)
+                    .unwrap_or_default(),
+            );
             let health = rank
                 .take_watchdog()
                 .map(sympack_trace::health::Watchdog::into_events)
                 .unwrap_or_default();
-            if opts2.trace {
+            if opts.trace {
                 trace.extend(health.iter().map(|h| h.to_trace_event(rank.id())));
             }
             RankOut {
                 error,
-                factor_time,
+                factor_time: f.factor_time,
                 solves,
-                counts: engine.kernels.counts,
-                publish: engine.publish,
-                blr: engine.kernels.blr_counts,
-                factor_bytes: engine.store.iter().map(|(_, b)| b.bytes()).sum(),
+                counts: f.op_counts,
+                publish: f.publish,
+                blr: f.blr_counts,
+                factor_bytes: factor_store_bytes(std::slice::from_ref(&f.store)),
                 trace,
                 tasks,
-                telemetry: tel_snapshot,
+                telemetry: f.telemetry,
                 health,
             }
         });
@@ -523,10 +429,7 @@ impl SymPack {
         for (k, b) in bs.iter().enumerate() {
             let mut xp = vec![0.0; n];
             for out in &outs {
-                for (sn, piece) in &out.solves[k].1 {
-                    let first = sf.partition.first_col(*sn);
-                    xp[first..first + piece.len()].copy_from_slice(piece);
-                }
+                trisolve::scatter_pieces(sf, &out.solves[k].1, 1, &mut xp);
             }
             let x = sf.perm.unapply_vec(&xp);
             relative_residuals.push(a.relative_residual(&x, b));
@@ -542,8 +445,8 @@ impl SymPack {
         let mut by_kind: std::collections::BTreeMap<String, u64> =
             std::collections::BTreeMap::new();
         for out in &outs {
-            for (k, v) in &out.tasks {
-                *by_kind.entry(k.clone()).or_insert(0) += v;
+            for &(k, v) in &out.tasks {
+                *by_kind.entry(k.to_string()).or_insert(0) += v;
             }
         }
         let mut profile = opts.trace.then(|| {
@@ -604,52 +507,14 @@ impl SymPack {
         opts: &SolverOptions,
     ) -> Result<GatheredFactor, SolverError> {
         let plan = SolvePlan::new(a, opts);
-        let sf = Arc::clone(plan.sf());
-        let ap = Arc::new(plan.permute(a));
-        let grid = plan.grid();
-        let config = plan.pgas_config();
-        let abort = Arc::new(AtomicBool::new(false));
-        let opts2 = opts.clone();
-        type BlockDump = Vec<((usize, usize), usize, usize, Vec<f64>)>;
-        let slices = &plan.symbolic.tasks;
-        let report = Runtime::run(config, |rank| -> (Option<SolverError>, f64, BlockDump) {
-            let kernels = make_kernels(&opts2);
-            let engine = FactoEngine::with_tasks(
-                Arc::clone(&sf),
-                &ap,
-                grid,
-                rank.id(),
-                kernels,
-                opts2.rtq_policy,
-                opts2.oom_policy,
-                Arc::clone(&abort),
-                opts2.bcast,
-                opts2.coalesce,
-                Arc::clone(&slices[rank.id()]),
-            );
-            let (engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-            if let Some(err) = engine.rt.error {
-                return (Some(err), factor_time, Vec::new());
-            }
-            let blocks = engine
-                .store
-                .iter()
-                .map(|(k, m)| (*k, m.rows(), m.cols(), m.to_dense().as_slice().to_vec()))
-                .collect();
-            (None, factor_time, blocks)
-        });
-        let mut blocks: std::collections::HashMap<(usize, usize), (usize, usize, Vec<f64>)> =
-            std::collections::HashMap::new();
-        let mut factor_time = 0.0f64;
-        for (err, ft, dump) in report.results {
-            if let Some(e) = err {
-                return Err(e);
-            }
-            factor_time = factor_time.max(ft);
-            for (k, r, c, data) in dump {
-                blocks.insert(k, (r, c, data));
-            }
-        }
+        let sf = plan.sf();
+        let nf = factor_numeric(&plan, &Arc::new(plan.permute(a)))?;
+        let blocks: HashMap<BlockKey, Mat> = nf
+            .stores
+            .iter()
+            .flat_map(BlockStore::iter)
+            .map(|(k, m)| (*k, m.to_dense()))
+            .collect();
         // Assemble the permuted L column by column.
         let n = sf.n();
         let ns = sf.n_supernodes();
@@ -660,20 +525,20 @@ impl SymPack {
         for j in 0..ns {
             let first = sf.partition.first_col(j);
             let w = sf.partition.width(j);
-            let (dr, _dc, ddata) = blocks.get(&(j, j)).expect("diag block gathered");
+            let diag = &blocks[&(j, j)];
             for jc in 0..w {
                 // Diagonal block: rows jc..w of column jc (lower triangle).
                 for r in jc..w {
                     row_idx.push(first + r);
-                    values.push(ddata[jc * dr + r]);
+                    values.push(diag[(r, jc)]);
                 }
                 // Off-diagonal blocks, ascending targets → ascending rows.
                 for b in sf.layout.blocks_of(j) {
-                    let (br, _bc, bdata) = blocks.get(&(b.target, j)).expect("block gathered");
+                    let block = &blocks[&(b.target, j)];
                     let rows = &sf.patterns[j][b.row_offset..b.row_offset + b.n_rows];
                     for (ri, &gr) in rows.iter().enumerate() {
                         row_idx.push(gr);
-                        values.push(bdata[jc * br + ri]);
+                        values.push(block[(ri, jc)]);
                     }
                 }
                 col_ptr.push(row_idx.len());
@@ -684,7 +549,7 @@ impl SymPack {
         Ok(GatheredFactor {
             perm,
             l_permuted,
-            factor_time,
+            factor_time: nf.factor_time,
         })
     }
 

@@ -145,7 +145,7 @@ impl FactoEngine {
     /// permuted matrix into them. Every factorization — the driver's, a
     /// session's re-factorizations, a fleet's re-materializations — runs on
     /// the slices its [`crate::SymbolicPlan`] built once.
-    #[allow(clippy::too_many_arguments)] // one-shot constructor called by the driver only
+    #[allow(clippy::too_many_arguments)] // built in one place: `plan::factor_rank`
     pub fn with_tasks(
         sf: Arc<SymbolicFactor>,
         ap: &sympack_sparse::SparseSym,

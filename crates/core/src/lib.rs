@@ -41,9 +41,7 @@ pub mod taskgraph;
 pub mod trisolve;
 
 pub use condest::condest;
-pub use driver::{
-    FactorizeOutcome, GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack,
-};
+pub use driver::{GatheredFactor, MultiSolveReport, SolveReport, SolverOptions, SymPack};
 pub use map2d::ProcGrid;
 pub use plan::{
     factor_store_bytes, make_kernels, pattern_hash, plan_cache_key, NumericFactor, PanelSolve,

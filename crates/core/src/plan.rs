@@ -19,22 +19,31 @@
 //!   concurrent tenants whose matrices share a [`pattern_hash`] — the
 //!   analyze-once/solve-many design a fleet-wide plan cache keys on.
 //! * [`SolvePlan`] — an `Arc<SymbolicPlan>` plus the per-job
-//!   [`SolverOptions`]; the handle the numeric phases
-//!   ([`factor_numeric`], [`solve_panel_distributed`]) run against.
+//!   [`SolverOptions`]; the handle the numeric phases run against.
+//!
+//! The numeric phases are two per-rank bodies, shared by every entry
+//! point: [`factor_rank`] (the one factorization engine set-up and the one
+//! observation hook) and [`solve_rank`] (panel solve plus iterative
+//! refinement). [`factor_numeric`] and [`solve_refined`] run them as
+//! distributed phases of their own; the one-shot driver runs both inside a
+//! single runtime.
 
-use crate::engine::FactoEngine;
+use crate::engine::{FactoEngine, PublishStats};
 use crate::map2d::ProcGrid;
 use crate::storage::BlockStore;
 use crate::taskgraph::LocalTasks;
-use crate::trisolve::{self, SolveSchedule};
+use crate::trisolve::{self, SolveOutcome, SolveSchedule};
 use crate::{SolverError, SolverOptions};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
-use sympack_gpu::{KernelEngine, OpCounts};
+use sympack_gpu::{BlrCounters, KernelEngine, OpCounts};
 use sympack_ordering::{compute_ordering, OrderingKind};
-use sympack_pgas::{PgasConfig, Runtime, StatsSnapshot};
+use sympack_pgas::{PgasConfig, Rank, Runtime, StatsSnapshot};
 use sympack_sparse::SparseSym;
 use sympack_symbolic::{analyze, SymbolicFactor};
+use sympack_trace::health::{WatchRules, Watchdog};
+use sympack_trace::telemetry::{SchedTelemetry, TelemetrySnapshot};
+use sympack_trace::{TraceEvent, Tracer};
 
 /// Build the kernel executor a rank uses under `opts` (GPU mode, offload
 /// thresholds, intra-rank parallelism, dense-kernel config).
@@ -339,9 +348,9 @@ pub struct NumericFactor {
     /// Per-rank kernel call counts.
     pub op_counts: Vec<OpCounts>,
     /// Per-rank block-publication byte accounting (dense vs compressed).
-    pub publish: Vec<crate::engine::PublishStats>,
+    pub publish: Vec<PublishStats>,
     /// Per-rank BLR kernel counters (all zero in dense mode).
-    pub blr_counts: Vec<sympack_gpu::BlrCounters>,
+    pub blr_counts: Vec<BlrCounters>,
     /// Communication counters of the factorization run.
     pub stats: StatsSnapshot,
 }
@@ -365,8 +374,184 @@ pub fn factor_store_bytes(stores: &[BlockStore]) -> u64 {
         .sum()
 }
 
+/// What one rank's numeric factorization hands back: its slice of the
+/// factor plus everything observed while producing it.
+#[derive(Debug)]
+pub struct RankFactor {
+    /// Error this rank diagnosed (pivot failure, device OOM, stall…).
+    pub error: Option<SolverError>,
+    /// Virtual makespan of this rank's factorization.
+    pub factor_time: f64,
+    /// This rank's factor blocks.
+    pub store: BlockStore,
+    /// Kernel call counts.
+    pub op_counts: OpCounts,
+    /// Block-publication byte accounting (dense vs compressed).
+    pub publish: PublishStats,
+    /// BLR kernel counters (all zero in dense mode).
+    pub blr_counts: BlrCounters,
+    /// Executed factorization tasks per kind.
+    pub task_counts: Vec<(&'static str, u64)>,
+    /// Factorization task timeline (empty unless [`SolverOptions::trace`]).
+    pub trace: Vec<TraceEvent>,
+    /// Scheduler instrument snapshot (`None` unless
+    /// [`SolverOptions::telemetry`]).
+    pub telemetry: Option<TelemetrySnapshot>,
+}
+
+/// One rank's numeric factorization under `plan`, on the plan's prebuilt
+/// task slice — the one place a factorization engine is built. `ap` is the
+/// permuted matrix ([`SolvePlan::permute`]); `abort` is the flag every rank
+/// of the run shares.
+///
+/// This is also the one observation hook: [`SolverOptions::trace`]
+/// installs a task tracer on the engine and a comm-span tracer on the rank;
+/// [`SolverOptions::telemetry`] installs the scheduler instruments and a
+/// health watchdog on the rank. The rank-level tracer and watchdog stay
+/// installed, so they also see later phases of the same run (drain them
+/// with [`Rank::take_tracer`] / [`Rank::take_watchdog`]).
+pub fn factor_rank(
+    rank: &mut Rank,
+    plan: &SolvePlan,
+    ap: &SparseSym,
+    abort: &Arc<AtomicBool>,
+) -> RankFactor {
+    let opts = &plan.opts;
+    let symbolic = &plan.symbolic;
+    let mut engine = FactoEngine::with_tasks(
+        Arc::clone(&symbolic.sf),
+        ap,
+        symbolic.grid,
+        rank.id(),
+        make_kernels(opts),
+        opts.rtq_policy,
+        opts.oom_policy,
+        Arc::clone(abort),
+        opts.bcast,
+        opts.coalesce,
+        Arc::clone(&symbolic.tasks[rank.id()]),
+    );
+    if opts.trace {
+        engine.rt.tracer = Some(Tracer::new());
+        rank.set_tracer(Tracer::new());
+    }
+    if opts.telemetry {
+        // Scheduler instruments sample on the virtual clock after every
+        // charged task; the watchdog rides the rank so it also sees the
+        // solve phase's idle polls.
+        engine.rt.telemetry = Some(Box::new(SchedTelemetry::new(rank.id())));
+        rank.set_watchdog(Watchdog::new(WatchRules::default()));
+    }
+    let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
+    RankFactor {
+        error: engine.rt.error.take(),
+        factor_time,
+        op_counts: engine.kernels.counts,
+        publish: engine.publish,
+        blr_counts: engine.kernels.blr_counts,
+        task_counts: engine.rt.task_counts(),
+        trace: engine
+            .rt
+            .tracer
+            .take()
+            .map(Tracer::into_events)
+            .unwrap_or_default(),
+        telemetry: engine.rt.telemetry.take().map(|t| t.snapshot()),
+        store: engine.store,
+    }
+}
+
+/// One rank's triangular solve of the permuted `n × nrhs` panel `bp`
+/// (column-major, replicated on every rank) against this rank's factor
+/// `store`, through the plan's cached [`SolveSchedule`].
+///
+/// With the permuted matrix `ap`, [`SolverOptions::refine_steps`] steps of
+/// iterative refinement follow: each all-gathers the iterate, forms the
+/// residual `bp − ap·x`, solves for the correction through the same
+/// schedule and adds it in. The outcome's `elapsed` includes refinement;
+/// its task counts and (with `trace`) timeline are the first panel
+/// solve's.
+pub fn solve_rank(
+    rank: &mut Rank,
+    plan: &SolvePlan,
+    store: &BlockStore,
+    ap: Option<&SparseSym>,
+    bp: &[f64],
+    nrhs: usize,
+    trace: bool,
+) -> SolveOutcome {
+    let opts = &plan.opts;
+    let sf = &plan.symbolic.sf;
+    let schedule = &plan.symbolic.solve_schedules()[rank.id()];
+    let kernels = make_kernels(opts);
+    let params = trisolve::SolveParams {
+        policy: opts.rtq_policy,
+        msg_overhead: 0.0,
+        trace,
+    };
+    let mut solve = trisolve::solve_panel(
+        rank,
+        schedule,
+        Arc::clone(sf),
+        store,
+        bp,
+        nrhs,
+        kernels.clone(),
+        &params,
+    );
+    // A diagnosed stall aborts the job; every rank skips refinement
+    // together (the solve itself is collective).
+    if solve.error.is_some() || rank.job_aborted() {
+        return solve;
+    }
+    let Some(ap) = ap else {
+        return solve;
+    };
+    let n = sf.n();
+    let refine_params = trisolve::SolveParams {
+        trace: false,
+        ..params
+    };
+    for _ in 0..opts.refine_steps {
+        let t0 = rank.now();
+        let xp = trisolve::allgather_solution(rank, sf, &solve.x, nrhs);
+        let mut rp = Vec::with_capacity(n * nrhs);
+        for (b, x) in bp.chunks(n).zip(xp.chunks(n)) {
+            rp.extend(b.iter().zip(ap.spmv(x)).map(|(b, a)| b - a));
+        }
+        // Charge the residual SpMV (2 flops per stored entry, both
+        // triangles, per column) to the local clock.
+        rank.advance(2.0 * (ap.nnz_full() * nrhs) as f64 / 4.0e9);
+        let dout = trisolve::solve_panel(
+            rank,
+            schedule,
+            Arc::clone(sf),
+            store,
+            &rp,
+            nrhs,
+            kernels.clone(),
+            &refine_params,
+        );
+        // Both piece lists follow the schedule's diagonal order.
+        for ((sn, xs), (dsn, dx)) in solve.x.iter_mut().zip(dout.x) {
+            debug_assert_eq!(*sn, dsn, "same ownership");
+            for (xi, di) in xs.iter_mut().zip(dx) {
+                *xi += di;
+            }
+        }
+        let dt = dout.elapsed;
+        solve.elapsed += dt + (rank.now() - t0 - dt).max(0.0);
+        if dout.error.is_some() || rank.job_aborted() {
+            solve.error = dout.error;
+            break;
+        }
+    }
+    solve
+}
+
 /// Run the numeric factorization under `plan`, reusing the plan's prebuilt
-/// per-rank task graphs, and return the per-rank block stores.
+/// per-rank task graphs, and return the per-rank block stores: one
+/// [`factor_rank`] per rank.
 ///
 /// `ap` must be the permuted matrix ([`SolvePlan::permute`]).
 ///
@@ -376,70 +561,36 @@ pub fn factor_store_bytes(stores: &[BlockStore]) -> u64 {
 /// fault-injection failure modes ([`SolverError::Stalled`],
 /// [`SolverError::FetchTimeout`]).
 pub fn factor_numeric(plan: &SolvePlan, ap: &Arc<SparseSym>) -> Result<NumericFactor, SolverError> {
-    let symbolic = Arc::clone(&plan.symbolic);
     assert_eq!(
-        symbolic.n_ranks(),
+        plan.symbolic.n_ranks(),
         plan.n_ranks(),
         "one task slice per rank"
     );
     let abort = Arc::new(AtomicBool::new(false));
-    let sf = Arc::clone(&symbolic.sf);
-    let ap = Arc::clone(ap);
-    let grid = symbolic.grid;
-    let opts = plan.opts.clone();
     let report = Runtime::run(plan.pgas_config(), |rank| {
-        let kernels = make_kernels(&opts);
-        let engine = FactoEngine::with_tasks(
-            Arc::clone(&sf),
-            &ap,
-            grid,
-            rank.id(),
-            kernels,
-            opts.rtq_policy,
-            opts.oom_policy,
-            Arc::clone(&abort),
-            opts.bcast,
-            opts.coalesce,
-            Arc::clone(&symbolic.tasks[rank.id()]),
-        );
-        let (mut engine, factor_time) = FactoEngine::run_to_completion(rank, engine);
-        let error = engine.rt.error.take();
-        (
-            error,
-            factor_time,
-            engine.store,
-            engine.kernels.counts,
-            engine.publish,
-            engine.kernels.blr_counts,
-        )
+        factor_rank(rank, plan, ap, &abort)
     });
-    let mut stores = Vec::with_capacity(report.results.len());
-    let mut op_counts = Vec::with_capacity(report.results.len());
-    let mut publish = Vec::with_capacity(report.results.len());
-    let mut blr_counts = Vec::with_capacity(report.results.len());
-    let mut factor_time = 0.0f64;
-    let mut first_error = None;
-    for (error, ft, store, counts, pub_stats, blr) in report.results {
-        if first_error.is_none() {
-            first_error = error;
-        }
-        factor_time = factor_time.max(ft);
-        stores.push(store);
-        op_counts.push(counts);
-        publish.push(pub_stats);
-        blr_counts.push(blr);
-    }
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    Ok(NumericFactor {
-        stores,
-        factor_time,
-        op_counts,
-        publish,
-        blr_counts,
+    let mut nf = NumericFactor {
+        stores: Vec::with_capacity(report.results.len()),
+        factor_time: 0.0,
+        op_counts: Vec::with_capacity(report.results.len()),
+        publish: Vec::with_capacity(report.results.len()),
+        blr_counts: Vec::with_capacity(report.results.len()),
         stats: report.stats,
-    })
+    };
+    let mut first_error = None;
+    for f in report.results {
+        first_error = first_error.or(f.error);
+        nf.factor_time = nf.factor_time.max(f.factor_time);
+        nf.stores.push(f.store);
+        nf.op_counts.push(f.op_counts);
+        nf.publish.push(f.publish);
+        nf.blr_counts.push(f.blr_counts);
+    }
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(nf),
+    }
 }
 
 /// Result of one distributed panel solve.
@@ -452,8 +603,9 @@ pub struct PanelSolve {
     pub solve_time: f64,
 }
 
-/// Run one distributed triangular panel solve against retained factor
-/// stores. `bp` is the full permuted `n × nrhs` right-hand-side panel,
+/// One distributed triangular panel solve against retained factor stores,
+/// without refinement: [`solve_refined`] with no matrix to form residuals
+/// against. `bp` is the full permuted `n × nrhs` right-hand-side panel,
 /// column-major; `stores[r]` is rank `r`'s slice of the factor (from
 /// [`factor_numeric`]).
 ///
@@ -466,51 +618,41 @@ pub fn solve_panel_distributed(
     bp: &[f64],
     nrhs: usize,
 ) -> Result<PanelSolve, SolverError> {
+    solve_refined(plan, stores, None, bp, nrhs)
+}
+
+/// A distributed panel solve followed, when the permuted matrix `ap` is
+/// given, by [`SolverOptions::refine_steps`] steps of iterative
+/// refinement: one [`solve_rank`] per rank. Arguments as for
+/// [`solve_panel_distributed`].
+///
+/// # Errors
+/// As [`solve_panel_distributed`].
+pub fn solve_refined(
+    plan: &SolvePlan,
+    stores: &[BlockStore],
+    ap: Option<&SparseSym>,
+    bp: &[f64],
+    nrhs: usize,
+) -> Result<PanelSolve, SolverError> {
     assert_eq!(stores.len(), plan.n_ranks(), "one block store per rank");
-    let sf = Arc::clone(&plan.symbolic.sf);
+    let sf = &plan.symbolic.sf;
     assert_eq!(bp.len(), sf.n() * nrhs, "rhs panel must be n × nrhs");
-    let schedules = plan.symbolic.solve_schedules();
-    let opts = &plan.opts;
     let report = Runtime::run(plan.pgas_config(), |rank| {
-        let kernels = make_kernels(opts);
-        let params = trisolve::SolveParams {
-            policy: opts.rtq_policy,
-            msg_overhead: 0.0,
-            trace: false,
-        };
-        let out = trisolve::solve_panel(
-            rank,
-            &schedules[rank.id()],
-            Arc::clone(&sf),
-            &stores[rank.id()],
-            bp,
-            nrhs,
-            kernels,
-            &params,
-        );
-        (out.error, out.elapsed, out.x)
+        solve_rank(rank, plan, &stores[rank.id()], ap, bp, nrhs, false)
     });
-    let n = plan.symbolic.sf.n();
-    let mut xp = vec![0.0; n * nrhs];
+    let mut xp = vec![0.0; sf.n() * nrhs];
     let mut solve_time = 0.0f64;
     let mut first_error = None;
-    for (error, elapsed, pieces) in report.results {
-        if first_error.is_none() {
-            first_error = error;
-        }
-        solve_time = solve_time.max(elapsed);
-        for (sn, panel) in pieces {
-            let first = plan.symbolic.sf.partition.first_col(sn);
-            let w = panel.len() / nrhs;
-            for k in 0..nrhs {
-                xp[k * n + first..k * n + first + w].copy_from_slice(&panel[k * w..(k + 1) * w]);
-            }
-        }
+    for s in report.results {
+        first_error = first_error.or(s.error);
+        solve_time = solve_time.max(s.elapsed);
+        trisolve::scatter_pieces(sf, &s.x, nrhs, &mut xp);
     }
-    if let Some(e) = first_error {
-        return Err(e);
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(PanelSolve { xp, solve_time }),
     }
-    Ok(PanelSolve { xp, solve_time })
 }
 
 #[cfg(test)]

@@ -950,14 +950,15 @@ pub fn solve_panel(
     }
 }
 
-/// All-gather the distributed per-supernode solution pieces so every rank
-/// holds the full permuted vector (used by iterative refinement to form the
-/// residual). Messages are RPCs with payload cost; the result is identical
-/// on every rank.
+/// All-gather the distributed per-supernode solution pieces (`w × nrhs`
+/// panels) so every rank holds the full permuted `n × nrhs` panel (used by
+/// iterative refinement to form the residual). Messages are RPCs with
+/// payload cost; the result is identical on every rank.
 pub fn allgather_solution(
     rank: &mut Rank,
     sf: &SymbolicFactor,
     pieces: &[(usize, Vec<f64>)],
+    nrhs: usize,
 ) -> Vec<f64> {
     struct Gather {
         pieces: Vec<(usize, Vec<f64>)>,
@@ -982,13 +983,28 @@ pub fn allgather_solution(
     }
     sched::poll_until::<Gather, _>(rank, |_, g| g.pieces.len() == ns);
     let g = rank.take_state::<Gather>();
-    let mut xp = vec![0.0; sf.n()];
-    for (sn, piece) in g.pieces {
-        let first = sf.partition.first_col(sn);
-        xp[first..first + piece.len()].copy_from_slice(&piece);
-    }
+    let mut xp = vec![0.0; sf.n() * nrhs];
+    scatter_pieces(sf, &g.pieces, nrhs, &mut xp);
     rank.barrier();
     xp
+}
+
+/// Copy per-supernode solution pieces (`w × nrhs` column-major panels)
+/// into their rows of the full permuted `n × nrhs` panel `xp`.
+pub(crate) fn scatter_pieces(
+    sf: &SymbolicFactor,
+    pieces: &[(usize, Vec<f64>)],
+    nrhs: usize,
+    xp: &mut [f64],
+) {
+    let n = sf.n();
+    for (sn, piece) in pieces {
+        let first = sf.partition.first_col(*sn);
+        let w = piece.len() / nrhs;
+        for k in 0..nrhs {
+            xp[k * n + first..k * n + first + w].copy_from_slice(&piece[k * w..(k + 1) * w]);
+        }
+    }
 }
 
 #[derive(PartialEq, Clone, Copy)]

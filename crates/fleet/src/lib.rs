@@ -2,8 +2,8 @@
 //! pattern-keyed symbolic plan cache, an LRU factor cache under a memory
 //! budget, and fair per-tenant admission.
 //!
-//! The serving layer (`sympack-service`) amortizes analysis for *one*
-//! matrix. A [`Fleet`] hosts many tenants at once — the "millions of users"
+//! A `sympack-service` [`Session`] amortizes analysis for *one* matrix. A
+//! [`Fleet`] hosts many tenants at once — the "millions of users"
 //! shape, where symPACK's front-loaded cost (ordering + symbolic analysis +
 //! mapping dominate the first factorization) is amortized *across* tenants:
 //!
@@ -172,6 +172,9 @@ pub struct FleetConfig {
     pub max_batch: usize,
     /// Service credit a weight-1.0 tenant earns per scheduling round, in
     /// jobs. A tenant may serve at most its accumulated credit per round.
+    /// With one shard, one tenant and `quantum = max_batch`, every round
+    /// serves the oldest `max_batch` pending jobs as one panel solve: the
+    /// single-session serving front-end.
     pub quantum: f64,
 }
 
@@ -422,12 +425,8 @@ impl Fleet {
         rhs: Vec<f64>,
         arrival: f64,
     ) -> Result<u64, FleetError> {
-        let t = self
-            .tenants
-            .get_mut(tenant.0)
-            .ok_or_else(|| FleetError::UnknownTenant {
-                tenant: format!("#{}", tenant.0),
-            })?;
+        let i = self.index(tenant)?;
+        let t = &mut self.tenants[i];
         SolverError::check_rhs(t.session.n(), std::slice::from_ref(&rhs))?;
         if t.pending.len() >= self.config.max_pending_per_tenant {
             t.metrics.jobs_rejected += 1;
@@ -446,6 +445,52 @@ impl Fleet {
         self.tel.set(self.backlog_gauge, backlog as f64);
         self.tick(arrival);
         Ok(id)
+    }
+
+    /// Numeric re-factorization of `tenant`'s matrix from a new value array
+    /// laid out like its analyzed pattern (see [`Session::refactorize`]).
+    /// The factorization makespan is charged to the tenant's shard clock —
+    /// the service pause a matrix update costs — and to its
+    /// [`ServiceMetrics`]. An evicted tenant's new factor is pre-budgeted
+    /// like a re-materialization, and the factor budget is enforced
+    /// afterwards. Jobs still queued for the tenant are served against the
+    /// new factor. Returns the factorization makespan.
+    ///
+    /// # Errors
+    /// [`FleetError::UnknownTenant`]; [`FleetError::Solver`] wrapping
+    /// [`SolverError::PatternMismatch`] when `values` has the wrong length
+    /// (nothing changes), or a factorization failure (the previous factor
+    /// stays installed).
+    pub fn refactorize(&mut self, tenant: TenantId, values: &[f64]) -> Result<f64, FleetError> {
+        let i = self.index(tenant)?;
+        self.tenants[i].session.check_values(values)?;
+        if !self.tenants[i].session.is_resident() {
+            self.make_room_for(i);
+        }
+        let ft = self.tenants[i].session.refactorize(values)?;
+        let shard = self.tenants[i].shard;
+        self.clocks[shard] += ft;
+        self.use_counter += 1;
+        let t = &mut self.tenants[i];
+        t.last_served = self.use_counter;
+        t.metrics.refactorizations += 1;
+        t.metrics.factor_virtual_total += ft;
+        t.factor_bytes = t.session.factor_bytes();
+        self.enforce_budget(Some(i));
+        self.sample_residency();
+        self.tick(self.clocks[shard]);
+        Ok(ft)
+    }
+
+    /// Index of an admitted tenant.
+    fn index(&self, tenant: TenantId) -> Result<usize, FleetError> {
+        if tenant.0 < self.tenants.len() {
+            Ok(tenant.0)
+        } else {
+            Err(FleetError::UnknownTenant {
+                tenant: format!("#{}", tenant.0),
+            })
+        }
     }
 
     /// Run one weighted-deficit-round-robin scheduling round: every tenant
@@ -1102,6 +1147,133 @@ mod tests {
             assert_eq!(span.name, format!("alice/job-{}", job.id));
             assert!(span.kernel <= span.dur + 1e-15, "service ≤ latency");
             assert!(span.kernel > 0.0);
+            assert_eq!(span.start, job.arrival);
+            assert!((span.end() - job.completion).abs() < 1e-15);
+            assert_eq!(span.bytes, (a.n() * 8) as u64);
         }
+        // Request spans round-trip through the Chrome exporter.
+        let json = sympack_trace::to_chrome_json(spans);
+        assert!(json.contains("alice/job-0"));
+    }
+
+    /// One shard, one tenant, `quantum = max_batch`: the single-session
+    /// serving front-end.
+    fn solo(max_pending: usize, max_batch: usize) -> FleetConfig {
+        FleetConfig {
+            shards: 1,
+            factor_budget_bytes: 0,
+            max_pending_per_tenant: max_pending,
+            max_batch,
+            quantum: max_batch as f64,
+        }
+    }
+
+    /// Lower-triangle values of `a` scaled by `s`, in `refactorize` layout.
+    fn scaled_values(a: &SparseSym, s: f64) -> Vec<f64> {
+        (0..a.n())
+            .flat_map(|c| a.col_values(c).iter().map(move |v| v * s))
+            .collect()
+    }
+
+    #[test]
+    fn one_shard_fleet_coalesces_and_bounds_the_queue() {
+        let a = laplacian_2d(6, 6);
+        let n = a.n();
+        let mut fleet = Fleet::new(&opts(2), solo(4, 3));
+        let t = fleet.admit("solo", &a, 1.0).unwrap();
+        let start = fleet.shard_clock(0);
+        for i in 0..4 {
+            fleet.submit_at(t, test_rhs(n), i as f64 * 0.5).unwrap();
+        }
+        match fleet.submit_at(t, test_rhs(n), 2.5) {
+            Err(FleetError::QueueFull { capacity: 4, .. }) => {}
+            other => panic!("expected QueueFull, got {other:?}"),
+        }
+        let done = fleet.drain().unwrap();
+        assert_eq!(done.len(), 4);
+        let m = fleet.tenant_metrics(t);
+        assert_eq!(m.jobs_submitted, 4);
+        assert_eq!(m.jobs_rejected, 1);
+        assert_eq!(m.jobs_served, 4);
+        assert_eq!(m.batches, 2); // 3 + 1 under max_batch = 3
+        assert_eq!(m.coalesced_jobs, 2);
+        assert_eq!(m.latency.count(), 4);
+        for j in &done {
+            assert!(a.relative_residual(&j.x, &test_rhs(n)) < 1e-10);
+            assert!(j.completion >= j.arrival);
+        }
+        // Clock advanced past the last arrival plus solve work.
+        assert!(fleet.shard_clock(0) > start.max(1.5));
+    }
+
+    #[test]
+    fn refactorize_charges_the_shard_clock_and_installs_new_values() {
+        let a = laplacian_2d(6, 6);
+        let b = test_rhs(a.n());
+        let mut fleet = Fleet::new(&opts(2), solo(8, 4));
+        let t = fleet.admit("solo", &a, 1.0).unwrap();
+        fleet.submit_at(t, b.clone(), 0.0).unwrap();
+        let x = fleet.drain().unwrap().remove(0).x;
+        let before = fleet.shard_clock(0);
+        let ft = fleet.refactorize(t, &scaled_values(&a, 2.0)).unwrap();
+        assert!(ft > 0.0);
+        assert_eq!(fleet.shard_clock(0), before + ft);
+        let m = fleet.tenant_metrics(t);
+        assert_eq!(m.refactorizations, 1);
+        assert_eq!(m.factor_virtual_total, m.one_shot_factor_cost + ft);
+        // Twice the matrix, half the solution.
+        fleet.submit_at(t, b.clone(), fleet.makespan()).unwrap();
+        let x2 = fleet.drain().unwrap().remove(0).x;
+        for (u, v) in x.iter().zip(&x2) {
+            assert!((u - 2.0 * v).abs() < 1e-9, "A*2 halves x");
+        }
+        // A wrong-length value array is a typed rejection that changes
+        // nothing; so is an unknown tenant.
+        let clock = fleet.shard_clock(0);
+        match fleet.refactorize(t, &[1.0; 5]) {
+            Err(FleetError::Solver(SolverError::PatternMismatch {
+                expected_nnz,
+                actual_nnz: 5,
+                ..
+            })) => assert_eq!(expected_nnz, a.nnz()),
+            other => panic!("expected PatternMismatch, got {other:?}"),
+        }
+        match fleet.refactorize(TenantId(7), &scaled_values(&a, 1.0)) {
+            Err(FleetError::UnknownTenant { .. }) => {}
+            other => panic!("expected UnknownTenant, got {other:?}"),
+        }
+        assert_eq!(fleet.shard_clock(0), clock);
+        assert_eq!(fleet.tenant_metrics(t).refactorizations, 1);
+    }
+
+    #[test]
+    fn evicted_tenant_refactorize_respects_the_factor_budget() {
+        let a = laplacian_2d(7, 7);
+        let b = test_rhs(a.n());
+        let one = Session::new(&a, &opts(1)).unwrap().factor_bytes();
+        let mut cfg = config();
+        cfg.shards = 1;
+        cfg.factor_budget_bytes = one + one / 2;
+        let mut fleet = Fleet::new(&opts(1), cfg);
+        let alice = fleet.admit("alice", &a, 1.0).unwrap();
+        let bob = fleet.admit("bob", &a, 1.0).unwrap();
+        // Room for one factor: admitting bob evicted alice.
+        assert!(!fleet.session(alice).is_resident());
+        fleet.refactorize(alice, &scaled_values(&a, 2.0)).unwrap();
+        assert!(fleet.session(alice).is_resident());
+        assert!(!fleet.session(bob).is_resident());
+        let c = fleet.cache_metrics();
+        assert_eq!(c.factor_evictions, 2);
+        assert_eq!(c.rematerializations, 0, "a refactorization, not a remat");
+        assert!(c.resident_high_water_bytes <= cfg.factor_budget_bytes);
+        fleet.submit_at(alice, b.clone(), 0.0).unwrap();
+        let x = fleet.drain().unwrap().remove(0).x;
+        let a2 = fleet
+            .session(alice)
+            .plan()
+            .symbolic
+            .matrix_from_values(&scaled_values(&a, 2.0));
+        assert!(a2.relative_residual(&x, &b) < 1e-10);
+        assert!(fleet.cache_metrics().resident_high_water_bytes <= cfg.factor_budget_bytes);
     }
 }

@@ -5,30 +5,28 @@
 //! a benchmark, the wrong one for the paper's §5.3 applications
 //! (optimization loops, selected inversion, time-stepping), which solve
 //! against one factorization hundreds of times and periodically re-factor
-//! on an unchanged sparsity pattern. This crate adds the serving layer:
+//! on an unchanged sparsity pattern. This crate adds the unit they serve
+//! from: a [`Session`] owns the analyzed plan (ordering, symbolic factor,
+//! 2D mapping, per-rank task graphs) and the distributed numeric factor. It
+//! exposes [`Session::solve_batch`] (one distributed *panel* triangular
+//! solve over many right-hand sides — same message and task count as a
+//! single-vector solve) and [`Session::refactorize`] (numeric-only
+//! re-factorization reusing all symbolic state, with typed rejection of
+//! pattern-mismatched input).
 //!
-//! * [`Session`] — owns the analyzed plan (ordering, symbolic factor, 2D
-//!   mapping, per-rank task graphs) and the distributed numeric factor.
-//!   Exposes [`Session::solve_batch`] (one distributed *panel* triangular
-//!   solve over many right-hand sides — same message and task count as a
-//!   single-vector solve) and [`Session::refactorize`] (numeric-only
-//!   re-factorization reusing all symbolic state, with typed rejection of
-//!   pattern-mismatched input).
-//! * [`Server`] — a virtual-time job queue in front of a session: bounded
-//!   admission ([`ServiceError::QueueFull`]), batching that coalesces
-//!   pending right-hand sides into one panel solve, and per-session
-//!   [`ServiceMetrics`] (batch sizes, p50/p99 latency, amortized vs
-//!   one-shot cost).
+//! Queueing, admission and batching live in `sympack-fleet`: a one-shard
+//! `Fleet` hosting one tenant is the single-session serving front-end.
+//! Every solve honours [`SolverOptions::refine_steps`] through the same
+//! per-rank factor and solve bodies as the one-shot driver
+//! ([`sympack::plan::factor_rank`], [`sympack::plan::solve_rank`]).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sympack::plan::{factor_numeric, solve_panel_distributed};
+use sympack::plan::{factor_numeric, solve_refined};
 use sympack::storage::BlockStore;
 use sympack::{SolvePlan, SolverError, SolverOptions, SymbolicPlan};
 use sympack_sparse::SparseSym;
-use sympack_trace::metrics::ServiceMetrics;
 
 /// A dense column panel of right-hand sides (or solutions): `n × nrhs`,
 /// column-major.
@@ -113,6 +111,10 @@ pub struct Session {
     /// The retained numeric factor; `None` while evicted from the factor
     /// cache (see [`Session::evict_factor`]).
     stores: Option<Vec<BlockStore>>,
+    /// The permuted matrix iterative refinement forms residuals against;
+    /// kept only while the factor is resident and
+    /// [`SolverOptions::refine_steps`] is positive.
+    ap: Option<Arc<SparseSym>>,
     /// Current numeric values (concatenated column values of the analyzed
     /// pattern), retained so an evicted factor can be re-materialized.
     values: Vec<f64>,
@@ -177,20 +179,38 @@ impl Session {
         plan: SolvePlan,
         analyze_wall_ms: f64,
     ) -> Result<Session, SolverError> {
-        let ap = Arc::new(plan.permute(a));
-        let nf = factor_numeric(&plan, &ap)?;
-        let factor_bytes = nf.factor_bytes();
-        Ok(Session {
+        let mut session = Session {
             plan,
-            stores: Some(nf.stores),
-            values: collect_values(a),
-            factor_bytes,
-            factor_time: nf.factor_time,
-            first_factor_time: nf.factor_time,
+            stores: None,
+            ap: None,
+            values: Vec::new(),
+            factor_bytes: 0,
+            factor_time: 0.0,
+            first_factor_time: 0.0,
             analyze_wall_ms,
             refactorizations: 0,
             rematerializations: 0,
-        })
+        };
+        session.first_factor_time = session.install(a)?;
+        // Kept after the factorization: allocated ahead of the factor's
+        // blocks, this array made back-to-back session set-ups ~15% slower
+        // in wall time (thermal_like 110², P = 2).
+        session.values = collect_values(a);
+        Ok(session)
+    }
+
+    /// Factor `a` (which has the session's pattern) and install the
+    /// result, keeping the permuted matrix only when refinement will need
+    /// it. Returns the factorization makespan; on error the previous factor
+    /// stays installed.
+    fn install(&mut self, a: &SparseSym) -> Result<f64, SolverError> {
+        let ap = Arc::new(self.plan.permute(a));
+        let nf = factor_numeric(&self.plan, &ap)?;
+        self.factor_bytes = nf.factor_bytes();
+        self.factor_time = nf.factor_time;
+        self.stores = Some(nf.stores);
+        self.ap = (self.plan.opts.refine_steps > 0).then_some(ap);
+        Ok(nf.factor_time)
     }
 
     /// Matrix order.
@@ -234,6 +254,7 @@ impl Session {
     /// values. Returns the bytes freed (0 when already evicted). The next
     /// solve must be preceded by [`Session::ensure_resident`].
     pub fn evict_factor(&mut self) -> u64 {
+        self.ap = None;
         match self.stores.take() {
             Some(_) => self.factor_bytes,
             None => 0,
@@ -251,13 +272,9 @@ impl Session {
             return Ok(None);
         }
         let a = self.plan.symbolic.matrix_from_values(&self.values);
-        let ap = Arc::new(self.plan.permute(&a));
-        let nf = factor_numeric(&self.plan, &ap)?;
-        self.factor_bytes = nf.factor_bytes();
-        self.factor_time = nf.factor_time;
-        self.stores = Some(nf.stores);
+        let ft = self.install(&a)?;
         self.rematerializations += 1;
-        Ok(Some(nf.factor_time))
+        Ok(Some(ft))
     }
 
     /// Factor re-materializations performed after evictions.
@@ -317,9 +334,10 @@ impl Session {
     }
 
     /// Solve every right-hand side in `panels` with one distributed panel
-    /// triangular solve and return the solution panels in the same shapes.
-    /// Returns the coalesced solve's virtual makespan; an empty batch is a
-    /// no-op with zero cost.
+    /// triangular solve (plus [`SolverOptions::refine_steps`] refinement
+    /// steps) and return the solution panels in the same shapes. Returns
+    /// the coalesced solve's virtual makespan; an empty batch is a no-op
+    /// with zero cost.
     ///
     /// # Errors
     /// [`SolverError::RhsShape`] when a panel's row count differs from the
@@ -354,7 +372,7 @@ impl Session {
                 k += 1;
             }
         }
-        let ps = solve_panel_distributed(&self.plan, stores, &bp, total)?;
+        let ps = solve_refined(&self.plan, stores, self.ap.as_deref(), &bp, total)?;
         let mut out = Vec::with_capacity(panels.len());
         let mut k = 0;
         for p in panels {
@@ -392,6 +410,17 @@ impl Session {
     /// [`SolverError::PatternMismatch`] when `values` has the wrong length;
     /// otherwise the factorization failure modes.
     pub fn refactorize(&mut self, values: &[f64]) -> Result<f64, SolverError> {
+        self.check_values(values)?;
+        let a = self.plan.symbolic.matrix_from_values(values);
+        self.refactor_with(&a)
+    }
+
+    /// Check that `values` fits the analyzed pattern (one value per stored
+    /// entry) — the validation [`Session::refactorize`] runs first.
+    ///
+    /// # Errors
+    /// [`SolverError::PatternMismatch`] when `values` has the wrong length.
+    pub fn check_values(&self, values: &[f64]) -> Result<(), SolverError> {
         let expected = self.pattern_nnz();
         if values.len() != expected {
             return Err(SolverError::PatternMismatch {
@@ -400,8 +429,7 @@ impl Session {
                 detail: "value array length does not match the analyzed pattern".to_string(),
             });
         }
-        let a = self.plan.symbolic.matrix_from_values(values);
-        self.refactor_with(&a)
+        Ok(())
     }
 
     /// Numeric re-factorization from a full matrix, which must have exactly
@@ -423,267 +451,10 @@ impl Session {
     }
 
     fn refactor_with(&mut self, a: &SparseSym) -> Result<f64, SolverError> {
-        let ap = Arc::new(self.plan.permute(a));
-        let nf = factor_numeric(&self.plan, &ap)?;
-        self.factor_bytes = nf.factor_bytes();
-        self.stores = Some(nf.stores);
+        let ft = self.install(a)?;
         self.values = collect_values(a);
-        self.factor_time = nf.factor_time;
         self.refactorizations += 1;
-        Ok(nf.factor_time)
-    }
-}
-
-/// Errors surfaced by the serving front-end.
-#[derive(Debug)]
-pub enum ServiceError {
-    /// Admission control rejected the job: the pending queue is at capacity.
-    QueueFull {
-        /// The configured queue bound.
-        capacity: usize,
-    },
-    /// A distributed phase failed underneath the server.
-    Solver(SolverError),
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::QueueFull { capacity } => {
-                write!(f, "job rejected: pending queue is full ({capacity} jobs)")
-            }
-            ServiceError::Solver(e) => write!(f, "solver error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-impl From<SolverError> for ServiceError {
-    fn from(e: SolverError) -> ServiceError {
-        ServiceError::Solver(e)
-    }
-}
-
-/// Admission and batching policy for a [`Server`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Maximum jobs waiting in the queue; submissions beyond this are
-    /// rejected with [`ServiceError::QueueFull`].
-    pub max_pending: usize,
-    /// Maximum right-hand sides coalesced into one panel solve.
-    pub max_batch: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_pending: 64,
-            max_batch: 16,
-        }
-    }
-}
-
-/// One queued solve request.
-#[derive(Debug)]
-struct Job {
-    id: u64,
-    rhs: Vec<f64>,
-    arrival: f64,
-}
-
-/// A completed solve request: the solution plus its virtual-time timeline.
-#[derive(Debug)]
-pub struct CompletedJob {
-    /// Ticket returned by [`Server::submit_at`].
-    pub id: u64,
-    /// The solution vector.
-    pub x: Vec<f64>,
-    /// Virtual arrival time the job was submitted with.
-    pub arrival: f64,
-    /// Virtual time the coalesced solve serving this job finished.
-    pub completion: f64,
-}
-
-/// A virtual-time serving front-end over one [`Session`]: jobs are submitted
-/// with arrival timestamps, admission is bounded, and each [`Server::step`]
-/// coalesces up to [`ServerConfig::max_batch`] pending jobs into a single
-/// distributed panel solve. All queueing/latency accounting runs in the
-/// solver's virtual clock, so a given workload is exactly reproducible.
-#[derive(Debug)]
-pub struct Server {
-    session: Session,
-    config: ServerConfig,
-    pending: VecDeque<Job>,
-    clock: f64,
-    next_id: u64,
-    metrics: ServiceMetrics,
-    /// One [`sympack_trace::SpanKind::Request`] span per completed job
-    /// (arrival → completion), for the flight-recorder profile.
-    request_spans: Vec<sympack_trace::TraceEvent>,
-    /// Live instruments (admission, queue depth, batch size, latency),
-    /// sampled on the server's virtual clock at every admission decision
-    /// and batch completion. Always on: updates are plain stores plus a
-    /// ring push, and never touch the virtual clock.
-    telemetry: sympack_trace::telemetry::ServiceTelemetry,
-}
-
-impl Server {
-    /// Wrap a factored session. The session's first factorization seeds the
-    /// amortization baseline in [`Server::metrics`].
-    pub fn new(session: Session, config: ServerConfig) -> Server {
-        let mut metrics = ServiceMetrics::new();
-        metrics.one_shot_factor_cost = session.first_factor_time();
-        metrics.factor_virtual_total = session.first_factor_time();
-        metrics.analyze_wall_ms = session.analyze_wall_ms();
-        Server {
-            session,
-            config,
-            pending: VecDeque::new(),
-            clock: 0.0,
-            next_id: 0,
-            metrics,
-            request_spans: Vec::new(),
-            telemetry: sympack_trace::telemetry::ServiceTelemetry::new(),
-        }
-    }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Current virtual time.
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// Jobs currently queued.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Serving metrics accumulated so far.
-    pub fn metrics(&self) -> &ServiceMetrics {
-        &self.metrics
-    }
-
-    /// The live instrument bundle (counters/gauges/histograms plus their
-    /// time-series rings); snapshot or render it at any point in the run.
-    pub fn telemetry(&self) -> &sympack_trace::telemetry::ServiceTelemetry {
-        &self.telemetry
-    }
-
-    /// Submit one right-hand side arriving at virtual time `arrival`.
-    /// Returns a job ticket matched by [`CompletedJob::id`].
-    ///
-    /// # Errors
-    /// [`ServiceError::QueueFull`] when the queue is at
-    /// [`ServerConfig::max_pending`]; [`ServiceError::Solver`] wrapping
-    /// [`SolverError::RhsShape`] when `rhs` length differs from the session
-    /// matrix order.
-    pub fn submit_at(&mut self, rhs: Vec<f64>, arrival: f64) -> Result<u64, ServiceError> {
-        SolverError::check_rhs(self.session.n(), std::slice::from_ref(&rhs))?;
-        if self.pending.len() >= self.config.max_pending {
-            self.metrics.jobs_rejected += 1;
-            self.telemetry
-                .on_reject(self.clock.max(arrival), self.pending.len());
-            return Err(ServiceError::QueueFull {
-                capacity: self.config.max_pending,
-            });
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.metrics.jobs_submitted += 1;
-        self.pending.push_back(Job { id, rhs, arrival });
-        self.telemetry
-            .on_submit(self.clock.max(arrival), self.pending.len());
-        Ok(id)
-    }
-
-    /// Serve one batch: pop up to [`ServerConfig::max_batch`] pending jobs,
-    /// coalesce them into a single panel solve, advance the virtual clock
-    /// past the latest arrival plus the solve makespan, and return the
-    /// completed jobs. Returns an empty list when the queue is empty.
-    ///
-    /// # Errors
-    /// [`ServiceError::Solver`] when the distributed solve fails.
-    pub fn step(&mut self) -> Result<Vec<CompletedJob>, ServiceError> {
-        if self.pending.is_empty() {
-            return Ok(Vec::new());
-        }
-        let take = self.config.max_batch.min(self.pending.len());
-        let jobs: Vec<Job> = self.pending.drain(..take).collect();
-        for j in &jobs {
-            self.clock = self.clock.max(j.arrival);
-        }
-        let cols: Vec<Vec<f64>> = jobs.iter().map(|j| j.rhs.clone()).collect();
-        let batch = self.session.solve_batch(&[RhsPanel::from_columns(&cols)])?;
-        self.clock += batch.solve_time;
-        self.metrics.record_batch(take, batch.solve_time);
-        let latencies: Vec<f64> = jobs.iter().map(|j| self.clock - j.arrival).collect();
-        self.telemetry
-            .on_batch(self.clock, take, &latencies, self.pending.len());
-        let panel = &batch.panels[0];
-        let mut done = Vec::with_capacity(take);
-        for (i, j) in jobs.into_iter().enumerate() {
-            self.metrics.latency.record(self.clock - j.arrival);
-            let mut span = sympack_trace::TraceEvent::basic(
-                0,
-                format!("job-{}", j.id),
-                sympack_trace::TraceCat::Solve,
-                j.arrival,
-                self.clock - j.arrival,
-            );
-            span.kind = sympack_trace::SpanKind::Request;
-            // Service time of the coalesced solve; `dur - kernel` is the
-            // queueing wait the profile attributes to the requester.
-            span.kernel = batch.solve_time.min(self.clock - j.arrival);
-            span.bytes = (self.session.n() * 8) as u64;
-            self.request_spans.push(span);
-            done.push(CompletedJob {
-                id: j.id,
-                x: panel.column(i).to_vec(),
-                arrival: j.arrival,
-                completion: self.clock,
-            });
-        }
-        Ok(done)
-    }
-
-    /// Per-request spans (one [`sympack_trace::SpanKind::Request`] event per
-    /// completed job, arrival → completion) accumulated over the server's
-    /// lifetime; feed them to `sympack_trace::to_chrome_json` or a Profile
-    /// alongside the solver spans.
-    pub fn request_spans(&self) -> &[sympack_trace::TraceEvent] {
-        &self.request_spans
-    }
-
-    /// Serve batches until the queue is empty.
-    ///
-    /// # Errors
-    /// [`ServiceError::Solver`] when a distributed solve fails.
-    pub fn drain(&mut self) -> Result<Vec<CompletedJob>, ServiceError> {
-        let mut all = Vec::new();
-        while !self.pending.is_empty() {
-            all.extend(self.step()?);
-        }
-        Ok(all)
-    }
-
-    /// Numeric re-factorization on the wrapped session (see
-    /// [`Session::refactorize`]); the server's virtual clock advances by the
-    /// factorization makespan, modeling the service pause.
-    ///
-    /// # Errors
-    /// [`ServiceError::Solver`] wrapping the session's rejection or
-    /// factorization failure.
-    pub fn refactorize(&mut self, values: &[f64]) -> Result<(), ServiceError> {
-        let ft = self.session.refactorize(values)?;
-        self.clock += ft;
-        self.metrics.refactorizations += 1;
-        self.metrics.factor_virtual_total += ft;
-        Ok(())
+        Ok(ft)
     }
 }
 
@@ -740,21 +511,6 @@ mod tests {
             }
             other => panic!("expected RhsShape, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn server_rejects_a_mis_shaped_rhs_with_a_typed_error() {
-        let a = laplacian_2d(5, 5);
-        let session = Session::new(&a, &opts(1)).unwrap();
-        let mut server = Server::new(session, ServerConfig::default());
-        match server.submit_at(vec![1.0; 3], 0.0) {
-            Err(ServiceError::Solver(SolverError::RhsShape { expected, actual })) => {
-                assert_eq!((expected, actual), ((25, 1), (3, 1)));
-            }
-            other => panic!("expected RhsShape, got {other:?}"),
-        }
-        assert_eq!(server.pending(), 0, "rejected job never queued");
-        assert!(server.submit_at(test_rhs(25), 0.0).is_ok());
     }
 
     #[test]
@@ -981,84 +737,5 @@ mod tests {
         for (h, f) in x.iter().zip(x_orig.iter()) {
             assert!((2.0 * h - f).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn server_coalesces_and_bounds_the_queue() {
-        let a = laplacian_2d(6, 6);
-        let n = a.n();
-        let session = Session::new(&a, &opts(2)).unwrap();
-        let mut server = Server::new(
-            session,
-            ServerConfig {
-                max_pending: 4,
-                max_batch: 3,
-            },
-        );
-        for i in 0..4 {
-            server.submit_at(test_rhs(n), i as f64 * 0.5).unwrap();
-        }
-        match server.submit_at(test_rhs(n), 2.5) {
-            Err(ServiceError::QueueFull { capacity: 4 }) => {}
-            other => panic!("expected QueueFull, got {other:?}"),
-        }
-        let done = server.drain().unwrap();
-        assert_eq!(done.len(), 4);
-        let m = server.metrics();
-        assert_eq!(m.jobs_submitted, 4);
-        assert_eq!(m.jobs_rejected, 1);
-        assert_eq!(m.jobs_served, 4);
-        assert_eq!(m.batches, 2); // 3 + 1 under max_batch = 3
-        assert_eq!(m.coalesced_jobs, 2);
-        assert!(m.latency.count() == 4);
-        for j in &done {
-            assert!(a.relative_residual(&j.x, &test_rhs(n)) < 1e-10);
-            assert!(j.completion >= j.arrival);
-        }
-        // Clock advanced past the last arrival plus solve work.
-        assert!(server.clock() > 1.5);
-    }
-
-    #[test]
-    fn server_records_one_request_span_per_job() {
-        let a = laplacian_2d(6, 6);
-        let n = a.n();
-        let session = Session::new(&a, &opts(2)).unwrap();
-        let mut server = Server::new(session, ServerConfig::default());
-        for i in 0..3 {
-            server.submit_at(test_rhs(n), i as f64 * 0.25).unwrap();
-        }
-        let done = server.drain().unwrap();
-        let spans = server.request_spans();
-        assert_eq!(spans.len(), done.len());
-        for (span, job) in spans.iter().zip(&done) {
-            assert_eq!(span.kind, sympack_trace::SpanKind::Request);
-            assert_eq!(span.name, format!("job-{}", job.id));
-            assert_eq!(span.start, job.arrival);
-            assert!((span.end() - job.completion).abs() < 1e-15);
-            assert_eq!(span.bytes, (n * 8) as u64);
-        }
-        // Request spans round-trip through the Chrome exporter.
-        let json = sympack_trace::to_chrome_json(spans);
-        assert!(json.contains("job-0"));
-    }
-
-    #[test]
-    fn server_refactorize_advances_clock_and_metrics() {
-        let a = laplacian_2d(6, 6);
-        let session = Session::new(&a, &opts(2)).unwrap();
-        let mut server = Server::new(session, ServerConfig::default());
-        let values: Vec<f64> = {
-            let mut v = Vec::new();
-            for c in 0..a.n() {
-                v.extend_from_slice(a.col_values(c));
-            }
-            v
-        };
-        let before = server.clock();
-        server.refactorize(&values).unwrap();
-        assert!(server.clock() > before);
-        assert_eq!(server.metrics().refactorizations, 1);
-        assert!(server.metrics().factor_virtual_total > server.metrics().one_shot_factor_cost);
     }
 }

@@ -16,12 +16,17 @@
 //!   `SolverError::PatternMismatch` contract: wrong-length values and
 //!   structure-mismatched matrices are rejected with expected/actual nnz,
 //!   and the session keeps serving from its previous factor.
+//! * [`entry_points_agree_on_every_solve`] runs the one-shot driver, a
+//!   `Session` and a one-shard `Fleet` under the same `SolverOptions` —
+//!   dense, and BLR with iterative refinement — and requires the same
+//!   answer class from all three, and the same bits for single-RHS solves.
 
-use sympack::{SolverError, SolverOptions, SymPack};
+use sympack::{BlrConfig, SolverError, SolverOptions, SymPack};
 use sympack_baseline::{
     try_baseline_factor_and_solve, try_fanboth_factor_and_solve, try_fanin_factor_and_solve,
     BaselineOptions,
 };
+use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
 use sympack_service::{RhsPanel, Session};
 use sympack_sparse::gen;
@@ -234,4 +239,93 @@ fn refactorize_rejections_are_typed_errors() {
     let b = rhs_columns(a.n(), 1).remove(0);
     let x = session.solve(&b).expect("previous factor intact");
     assert!(a.relative_residual(&x, &b) < RESIDUAL_TOL);
+}
+
+#[test]
+fn entry_points_agree_on_every_solve() {
+    let a = gen::bone_like(12, 12, 12);
+    let bs = rhs_columns(a.n(), 2);
+    let blr = BlrConfig {
+        tol: 1e-4,
+        ..BlrConfig::default()
+    };
+    for (mode, blr, refine_steps) in [("dense", BlrConfig::default(), 0), ("blr", blr, 3)] {
+        for p in [1usize, 2, 4] {
+            let ctx = format!("{mode} P={p}");
+            let opts = SolverOptions {
+                n_nodes: 1,
+                ranks_per_node: p,
+                deterministic: true,
+                blr,
+                refine_steps,
+                ..Default::default()
+            };
+            // Driver: one factorization, every rhs solved and refined alone.
+            let driver = SymPack::try_factor_and_solve_multi(&a, &bs, &opts)
+                .unwrap_or_else(|e| panic!("{ctx}: driver: {e}"));
+            // Session: a single-rhs solve, then both rhs as one panel.
+            let session = Session::new(&a, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let single = session
+                .solve_batch(&[RhsPanel::from_vector(&bs[0])])
+                .unwrap_or_else(|e| panic!("{ctx}: session solve: {e}"));
+            let panel = session
+                .solve_batch(&[RhsPanel::from_columns(&bs)])
+                .unwrap_or_else(|e| panic!("{ctx}: session panel: {e}"));
+            // One-shard fleet: one job alone, then two coalesced.
+            let config = FleetConfig {
+                shards: 1,
+                max_batch: 2,
+                quantum: 2.0,
+                ..FleetConfig::default()
+            };
+            let mut fleet = Fleet::new(&opts, config);
+            let t = fleet.admit("solo", &a, 1.0).expect("admit");
+            fleet.submit_at(t, bs[0].clone(), 0.0).expect("submit");
+            let alone = fleet
+                .drain()
+                .unwrap_or_else(|e| panic!("{ctx}: fleet: {e}"));
+            let fleet_time = fleet.tenant_metrics(t).solve_virtual_total;
+            for b in &bs {
+                fleet
+                    .submit_at(t, b.clone(), fleet.makespan())
+                    .expect("submit");
+            }
+            let pair = fleet
+                .drain()
+                .unwrap_or_else(|e| panic!("{ctx}: fleet: {e}"));
+            assert_eq!(fleet.tenant_metrics(t).batches, 2, "{ctx}: pair coalesced");
+
+            let mut answers: Vec<(&str, &[f64], &[f64])> = vec![
+                ("session", single.panels[0].column(0), &bs[0]),
+                ("fleet", &alone[0].x, &bs[0]),
+            ];
+            for (k, b) in bs.iter().enumerate() {
+                answers.push(("driver", &driver.xs[k], b));
+                answers.push(("session panel", panel.panels[0].column(k), b));
+                answers.push(("fleet pair", &pair[k].x, b));
+            }
+            for (path, x, b) in answers {
+                let r = a.relative_residual(x, b);
+                assert!(r < 1e-6, "{ctx}: {path} residual {r:.3e}");
+            }
+            // Single-rhs solves: one pipeline, so the same solution bits
+            // everywhere, and the same solve-time bits from the session and
+            // the fleet. The driver solves on clocks that already carry the
+            // factorization in the same run, so its solve time is the same
+            // sum of charges rounded at a different magnitude.
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&driver.xs[0]),
+                bits(single.panels[0].column(0)),
+                "{ctx}"
+            );
+            assert_eq!(bits(&driver.xs[0]), bits(&alone[0].x), "{ctx}");
+            assert_eq!(single.solve_time.to_bits(), fleet_time.to_bits(), "{ctx}");
+            let drift = (driver.solve_times[0] - single.solve_time).abs() / single.solve_time;
+            assert!(
+                drift < 1e-9,
+                "{ctx}: driver solve time drifts by {drift:.3e}"
+            );
+        }
+    }
 }

@@ -7,7 +7,6 @@
 use sympack::{SolverError, SolverOptions, SymPack};
 use sympack_fleet::{Fleet, FleetConfig};
 use sympack_pgas::FaultPlan;
-use sympack_service::{Server, ServerConfig, Session};
 use sympack_sparse::gen;
 use sympack_sparse::vecops::test_rhs;
 use sympack_trace::health::HealthKind;
@@ -169,21 +168,28 @@ fn fleet_watchdog_raises_slo_burn_for_impossible_objective() {
 
 #[test]
 fn session_solves_feed_service_telemetry() {
-    // The serving-layer instruments accumulate across session solves and
+    // A one-shard fleet is the single-session serving front-end: its
+    // instruments accumulate across the session's batched solves and
     // render in the Prometheus exposition (spot checks only — the byte
     // gates live in the snapshot tests above).
     let a = gen::laplacian_2d(8, 8);
-    let session = Session::new(&a, &opts(2, false)).expect("session");
-    let mut server = Server::new(session, ServerConfig::default());
+    let config = FleetConfig {
+        shards: 1,
+        max_batch: 16,
+        quantum: 16.0,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::new(&opts(2, false), config);
+    let t = fleet.admit("solo", &a, 1.0).expect("admit");
     for k in 0..5 {
-        server
-            .submit_at(rhs(a.n()), k as f64 * 0.001)
+        fleet
+            .submit_at(t, rhs(a.n()), k as f64 * 0.001)
             .expect("submit");
     }
-    server.drain().expect("drain");
-    let text = server.telemetry().telemetry().render_text();
-    assert!(text.contains("sympack_service_jobs_submitted_total 5"));
-    assert!(text.contains("sympack_service_jobs_served_total 5"));
-    assert!(text.contains("sympack_service_batch_size"));
-    assert!(text.contains("sympack_service_latency_seconds"));
+    fleet.drain().expect("drain");
+    assert_eq!(fleet.tenant_metrics(t).batches, 1, "one coalesced batch");
+    let text = fleet.render_telemetry_text();
+    assert!(text.contains("sympack_fleet_jobs_served_total{tenant=\"solo\"} 5"));
+    assert!(text.contains("sympack_fleet_pending_jobs{tenant=\"solo\"} 0"));
+    assert!(text.contains("sympack_fleet_latency_seconds"));
 }
