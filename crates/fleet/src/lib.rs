@@ -1207,6 +1207,48 @@ mod tests {
     }
 
     #[test]
+    fn server_rejects_a_mis_shaped_rhs_with_a_typed_error() {
+        let a = laplacian_2d(5, 5);
+        let mut fleet = Fleet::new(&opts(1), solo(4, 4));
+        let t = fleet.admit("solo", &a, 1.0).unwrap();
+        match fleet.submit_at(t, vec![1.0; 3], 0.0) {
+            Err(FleetError::Solver(SolverError::RhsShape { expected, actual })) => {
+                assert_eq!((expected, actual), ((25, 1), (3, 1)));
+            }
+            other => panic!("expected RhsShape, got {other:?}"),
+        }
+        let m = fleet.tenant_metrics(t);
+        assert_eq!(m.jobs_submitted, 0, "rejected job never queued");
+        assert_eq!(m.jobs_rejected, 0, "shape errors are not queue rejections");
+        assert!(fleet.submit_at(t, test_rhs(25), 0.0).is_ok());
+        assert_eq!(fleet.drain().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn server_records_one_request_span_per_job() {
+        let a = laplacian_2d(6, 6);
+        let n = a.n();
+        let mut fleet = Fleet::new(&opts(2), solo(8, 4));
+        let t = fleet.admit("solo", &a, 1.0).unwrap();
+        for i in 0..3 {
+            fleet.submit_at(t, test_rhs(n), i as f64 * 0.25).unwrap();
+        }
+        let done = fleet.drain().unwrap();
+        let spans = fleet.request_spans();
+        assert_eq!(spans.len(), done.len());
+        for (span, job) in spans.iter().zip(&done) {
+            assert_eq!(span.kind, SpanKind::Request);
+            assert_eq!(span.name, format!("solo/job-{}", job.id));
+            assert_eq!(span.start, job.arrival);
+            assert!((span.end() - job.completion).abs() < 1e-15);
+            assert_eq!(span.bytes, (n * 8) as u64);
+        }
+        // Request spans round-trip through the Chrome exporter.
+        let json = sympack_trace::to_chrome_json(spans);
+        assert!(json.contains("solo/job-0"));
+    }
+
+    #[test]
     fn refactorize_charges_the_shard_clock_and_installs_new_values() {
         let a = laplacian_2d(6, 6);
         let b = test_rhs(a.n());
